@@ -298,10 +298,9 @@ def run_one_b_cell(benchmark: str = ONE_B_BENCHMARK,
                    machine: Optional[MachineConfig] = None) -> Dict[str, object]:
     """Run one billion-instruction streaming cell end to end.
 
-    Streaming is explicit (:meth:`Simulator.run_streaming`, regardless of
-    the ``REPRO_STREAMING`` override): the cell exists to demonstrate — and
-    regression-gate — that the 1B regime completes in one-sample-flat
-    memory.  The headline figure is *end-to-end* horizon instructions per
+    Runs :meth:`Simulator.run_streaming` directly: the cell exists to
+    demonstrate — and regression-gate — that the 1B regime completes in
+    one-sample-flat memory.  The headline figure is *end-to-end* horizon instructions per
     wall second, because at 99.8% skip the run is generation-dominated by
     construction: that is the quantity that collapses (by ~15x) if the
     native fast-forward kernel silently stops carrying the skip windows.

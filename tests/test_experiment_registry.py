@@ -233,7 +233,7 @@ class TestGoldenQuickSampling:
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_sampled_metrics_match_pinned_values(self, sampled_suite, name):
         report = next(r for r in sampled_suite.reports if r.name == name)
-        assert report.result.summary == pytest.approx(GOLDEN[name], rel=1e-9)
+        assert report.result.summary == GOLDEN[name]
 
 
 class TestCliRun:

@@ -215,6 +215,16 @@ class TestEngineRoundTrip:
         assert warm.run_spec(spec) == cells
         assert warm.simulated_cells == 0
 
+    def test_sampled_jobs_bypass_the_bundle_memo(self):
+        from repro.sim.engine import execute_job
+
+        _BUNDLES.clear()
+        execute_job(BenchmarkJob(benchmark="gzip", seed=7,
+                                 instructions=12_000,
+                                 warmup_instructions=None, sampling=SMALL,
+                                 pipeline="compiled", cells=(("wd", ISA),)))
+        assert not _BUNDLES
+
     def test_sampling_is_part_of_the_cell_identity(self, tmp_path):
         cache = ResultCache(tmp_path)
         engine = SweepEngine(cache=cache)
@@ -302,15 +312,6 @@ class TestBundleMemoFootprint:
         with pytest.raises(ConfigurationError, match="compiled_sample_streams"):
             bundle.compiled_streams(ISA)
 
-    def test_footprint_counts_sample_segments(self):
-        bundle = TraceBundle.generate("gzip", seed=7, instructions=12_000,
-                                      sampling=SMALL)
-        base = sum(len(s.measured) + len(s.warmup) for s in bundle.samples)
-        before = bundle.footprint_ops()
-        assert before >= base
-        bundle.compiled_sample_streams(0, ISA)
-        assert bundle.footprint_ops() > before
-
     def test_memo_evicts_on_footprint_budget(self, monkeypatch):
         import repro.sim.engine as engine_mod
 
@@ -327,79 +328,6 @@ class TestBundleMemoFootprint:
         _bundle_for(other)
         assert len(_BUNDLES) == 1  # gzip evicted despite being "only" 2.5k ops
         _BUNDLES.clear()
-
-
-class TestSampleCacheRelease:
-    """Per-sample compiled caches are dropped once a sample is aggregated."""
-
-    @staticmethod
-    def _cache_entries(bundle):
-        tokens = bundle.__dict__.get("_cc_tokens") or {}
-        streams = bundle.__dict__.get("_cc_streams") or {}
-        return dict(tokens), dict(streams)
-
-    def test_release_drops_only_the_given_samples_caches(self):
-        bundle = TraceBundle.generate("gzip", seed=7, instructions=12_000,
-                                      sampling=SMALL)
-        for index in range(len(bundle.samples)):
-            bundle.compiled_sample_streams(index, ISA)
-        tokens, streams = self._cache_entries(bundle)
-        assert set(tokens) == set(range(len(bundle.samples)))
-        bundle.release_sample_caches(0)
-        tokens, streams = self._cache_entries(bundle)
-        assert 0 not in tokens
-        assert all(key[2] != 0 for key in streams)
-        assert set(tokens) == set(range(1, len(bundle.samples)))
-
-    def test_simulator_release_flag_frees_caches_and_stays_bit_identical(self):
-        bundle = TraceBundle.generate("gzip", seed=7, instructions=12_000,
-                                      sampling=SMALL)
-        kept = Simulator().run_bundle(bundle, ISA)
-        tokens, streams = self._cache_entries(bundle)
-        assert tokens and streams  # default: caches pinned for replay
-
-        fresh = TraceBundle.generate("gzip", seed=7, instructions=12_000,
-                                     sampling=SMALL)
-        released = Simulator(release_sample_caches=True).run_bundle(fresh, ISA)
-        tokens, streams = self._cache_entries(fresh)
-        assert not tokens and not streams
-        assert released.timing == kept.timing
-        assert released.injection == kept.injection
-
-    def test_engine_serial_sampled_job_releases_and_matches_run_bundle(self):
-        from repro.sim.engine import execute_job
-
-        _BUNDLES.clear()
-        job = BenchmarkJob(benchmark="gzip", seed=7, instructions=12_000,
-                           warmup_instructions=None, sampling=SMALL,
-                           pipeline="compiled",
-                           cells=(("wd", ISA),
-                                  ("baseline", WatchdogConfig.disabled())))
-        results = execute_job(job)
-        bundle = _bundle_for(job)
-        tokens, streams = self._cache_entries(bundle)
-        assert not tokens and not streams  # all samples released
-
-        # Sample-major execution with release is bit-identical to the plain
-        # config-major replay of the same bundle.
-        simulator = Simulator()
-        for (label, config), cell in zip(job.cells, results):
-            expected = simulator.run_bundle(
-                TraceBundle.generate("gzip", seed=7, instructions=12_000,
-                                     sampling=SMALL), config)
-            assert cell.cycles == expected.timing.cycles
-            assert cell.total_uops == expected.timing.total_uops
-            assert cell.configuration == label
-        _BUNDLES.clear()
-
-    def test_released_sample_can_be_replayed_again(self):
-        bundle = TraceBundle.generate("gzip", seed=7, instructions=12_000,
-                                      sampling=SMALL)
-        simulator = Simulator()
-        first = simulator.sample_outcome(bundle, 0, ISA)
-        bundle.release_sample_caches(0)
-        again = simulator.sample_outcome(bundle, 0, ISA)
-        assert again.timing == first.timing
 
 
 class TestSpecValidation:

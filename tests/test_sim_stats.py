@@ -83,6 +83,14 @@ class TestSampling:
         assert config.sampled_fraction == pytest.approx(0.10)
         assert not config.degenerate
 
+    def test_samples_needs_a_measure_window_and_a_skip_or_warmup(self):
+        config = SamplingConfig(fast_forward=4, warmup=2, sample=2)
+        assert config.samples(7)
+        assert not config.samples(6)  # ends at the first measure window
+        assert not config.samples(0)
+        assert not SamplingConfig.unsampled(100).samples(100)
+        assert SamplingConfig(fast_forward=0, warmup=2, sample=2).samples(3)
+
     # -- windows()/measured_count() edge cases ------------------------------------
     def test_windows_empty_trace(self):
         schedule = SamplingSchedule(SamplingConfig(fast_forward=4, warmup=2, sample=2))

@@ -1,27 +1,33 @@
 """Tests for streaming sampled simulation (one sample in memory).
 
 Covers the :class:`~repro.workloads.streaming.SampleStream` walk against the
-eagerly-built bundle (segment-for-segment bit-equality), the
-replay-on-demand property (a random single sample regenerated from the state
-core alone equals the eager bundle's, native fast-forward kernel on and
-off), streaming-vs-retained golden equality through
-:meth:`Simulator.run_profile` and the sweep engine (serial and pooled,
-timecore on and off), the incremental :class:`OutcomeAccumulator` against
-:func:`aggregate_outcomes`, the state core's retired-slot compaction
-(bit-invisible on every span path), the audited bundle footprint
+retained bundle built from it, the replay-on-demand property (a random
+single sample regenerated from the state core alone equals the continuous
+walk's, native fast-forward kernel on and off), literal digests of sampled
+results through :meth:`Simulator.run_profile`, :meth:`Simulator.run_bundle`
+and the sweep engine (serial and pooled, compiled and reference pipelines,
+timecore on and off), the §9.1 outcome fold, the state core's retired-slot
+compaction (bit-invisible on every span path), the audited bundle footprint
 accounting, and the billion-instruction profile/bench plumbing.
 """
 
+import dataclasses
+import hashlib
 import random
 import zlib
 
 import pytest
 
 from repro.core.config import WatchdogConfig
+from repro.core.pointer_id import PointerIdStats
+from repro.core.uop_injection import InjectionStats
 from repro.errors import ConfigurationError
+from repro.memory.pages import PageAccountant
+from repro.pipeline.core import TimingResult
 from repro.sim.sampling import SamplingConfig, SamplingSchedule
 from repro.sim.simulator import (
     OutcomeAccumulator,
+    SimulationOutcome,
     Simulator,
     aggregate_outcomes,
 )
@@ -32,11 +38,7 @@ from repro.workloads.profiles import (
     one_b_profile_names,
     profile_by_name,
 )
-from repro.workloads.streaming import (
-    STREAMING_THRESHOLD_INSTRUCTIONS,
-    SampleStream,
-    use_streaming,
-)
+from repro.workloads.streaming import SampleStream
 from repro.workloads.synthetic import SyntheticWorkload
 
 ISA = WatchdogConfig.isa_assisted_uaf()
@@ -151,25 +153,49 @@ class TestReplayOnDemand:
         _assert_segments_equal(stream.segment(last), bundle.samples[last])
 
 
-def _outcome_key(outcome):
-    return (outcome.benchmark, outcome.configuration, outcome.timing,
-            outcome.injection, outcome.pointer_stats,
-            outcome.pages.data_words, outcome.pages.shadow_words)
+def _digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+def _outcome_digest(outcome) -> str:
+    """A digest of everything a sampled outcome carries, floats exactly."""
+    timing = outcome.timing
+    return _digest((
+        outcome.benchmark, outcome.configuration,
+        dataclasses.replace(timing, port_waits={}),
+        sorted(timing.port_waits.items()),
+        outcome.injection, outcome.pointer_stats,
+        sorted(outcome.pages.data_words), sorted(outcome.pages.shadow_words)))
+
+
+#: Sampled-result digests recorded from the two-path implementation that
+#: preceded streaming-only execution, where the retained-bundle path and the
+#: streaming path each produced exactly these values (serial, pooled over
+#: two workers, compiled and reference pipelines, timecore on and off).
+#: mcf-long, 20k instructions, seed 7, schedule SMALL:
+MCF_LONG_DIGESTS = {"baseline": "126e31c1bdc5b2a0", "isa": "d1f0d1990a879879"}
+#: gcc-long, 20k instructions, seed 3, schedule SMALL, ISA-assisted:
+GCC_LONG_ISA_DIGEST = "84d9bd8f2ac06be3"
+#: The two CellResults of :meth:`TestEngineStreaming._job`:
+JOB_CELLS_DIGEST = "50f002bb14710935"
+#: The sorted cells of a one-benchmark sweep over the same workload:
+SWEEP_CELLS_DIGEST = "502f65c56e479cf7"
 
 
 class TestStreamingGoldenEquality:
     @pytest.mark.parametrize("timecore", [None, False])
-    def test_run_profile_streaming_equals_retained(self, monkeypatch,
-                                                   timecore):
+    def test_run_profile_streaming_equals_retained(self, timecore):
         profile = profile_by_name("mcf-long")
-        for config in (WatchdogConfig.disabled(), ISA):
-            monkeypatch.setenv("REPRO_STREAMING", "0")
-            retained = Simulator(timecore=timecore).run_profile(
+        bundle = TraceBundle.generate(profile, seed=7, instructions=20_000,
+                                      sampling=SMALL)
+        for name, config in (("baseline", WatchdogConfig.disabled()),
+                             ("isa", ISA)):
+            simulator = Simulator(timecore=timecore)
+            streamed = simulator.run_profile(
                 profile, config, instructions=20_000, seed=7, sampling=SMALL)
-            monkeypatch.setenv("REPRO_STREAMING", "1")
-            streamed = Simulator(timecore=timecore).run_profile(
-                profile, config, instructions=20_000, seed=7, sampling=SMALL)
-            assert _outcome_key(streamed) == _outcome_key(retained)
+            retained = simulator.run_bundle(bundle, config)
+            assert _outcome_digest(streamed) == MCF_LONG_DIGESTS[name]
+            assert _outcome_digest(retained) == MCF_LONG_DIGESTS[name]
 
     def test_run_streaming_equals_run_bundle(self):
         bundle = TraceBundle.generate("gcc-long", seed=3,
@@ -179,18 +205,14 @@ class TestStreamingGoldenEquality:
         streamed = simulator.run_streaming("gcc-long", ISA,
                                            instructions=20_000,
                                            sampling=SMALL, seed=3)
-        assert _outcome_key(streamed) == _outcome_key(retained)
+        assert _outcome_digest(retained) == GCC_LONG_ISA_DIGEST
+        assert _outcome_digest(streamed) == GCC_LONG_ISA_DIGEST
 
-    def test_reference_pipeline_streams_identically(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STREAMING", "1")
+    def test_reference_pipeline_streams_identically(self):
         streamed = Simulator(pipeline="reference").run_profile(
             profile_by_name("mcf-long"), ISA, instructions=20_000, seed=7,
             sampling=SMALL)
-        monkeypatch.setenv("REPRO_STREAMING", "0")
-        retained = Simulator(pipeline="compiled").run_profile(
-            profile_by_name("mcf-long"), ISA, instructions=20_000, seed=7,
-            sampling=SMALL)
-        assert _outcome_key(streamed) == _outcome_key(retained)
+        assert _outcome_digest(streamed) == MCF_LONG_DIGESTS["isa"]
 
 
 class TestEngineStreaming:
@@ -202,66 +224,79 @@ class TestEngineStreaming:
             warmup_instructions=None, sampling=SMALL, pipeline="compiled",
             cells=(("baseline", WatchdogConfig.disabled()), ("isa", ISA)))
 
-    def test_serial_streaming_matches_retained(self, monkeypatch):
+    def test_serial_streaming_matches_retained(self):
         from repro.sim.engine import execute_job
+        from repro.sim.results import CellResult
 
-        monkeypatch.setenv("REPRO_STREAMING", "0")
-        retained = execute_job(self._job())
-        monkeypatch.setenv("REPRO_STREAMING", "1")
-        streamed = execute_job(self._job())
-        assert streamed == retained
+        job = self._job()
+        streamed = execute_job(job)
+        assert _digest(streamed) == JOB_CELLS_DIGEST
+        # The engine streams sample-major; replaying the retained bundle
+        # config-major gives the very same cells.
+        bundle = TraceBundle.generate("mcf-long", seed=7,
+                                      instructions=20_000, sampling=SMALL)
+        simulator = Simulator()
+        assert streamed == [
+            CellResult.from_outcome(simulator.run_bundle(bundle, config),
+                                    label=label)
+            for label, config in job.cells]
 
-    def test_pooled_streaming_matches_serial(self, monkeypatch):
+    def test_pooled_streaming_matches_serial(self):
         from concurrent.futures import ProcessPoolExecutor
 
         from repro.sim.engine import execute_job
 
-        monkeypatch.setenv("REPRO_STREAMING", "1")
-        serial = execute_job(self._job())
         with ProcessPoolExecutor(max_workers=2) as pool:
-            pooled = execute_job(self._job(), sample_pool=pool)
-        assert pooled == serial
+            pooled = execute_job(self._job(), sample_pool=pool, workers=2)
+        assert _digest(pooled) == JOB_CELLS_DIGEST
 
-    def test_sweep_round_trip_forced_streaming(self, monkeypatch):
+    def test_sweep_round_trip(self):
         from repro.sim.engine import SweepEngine
         from repro.sim.spec import ExperimentSettings, ExperimentSpec
 
         settings = ExperimentSettings(benchmarks=("mcf-long",),
                                       instructions=20_000, sampling=SMALL)
         spec = ExperimentSpec.build("stream", {"wd": ISA}, settings=settings)
-        monkeypatch.setenv("REPRO_STREAMING", "0")
-        retained = SweepEngine().run_spec(spec)
-        monkeypatch.setenv("REPRO_STREAMING", "1")
-        streamed = SweepEngine().run_spec(spec)
-        assert streamed == retained
+        cells = SweepEngine().run_spec(spec)
+        assert _digest(sorted(cells.items())) == SWEEP_CELLS_DIGEST
+
+
+def _outcome(cycles, total_uops, port_waits, data_words):
+    timing = TimingResult(cycles=cycles, total_uops=total_uops,
+                          injected_uops=1, macro_instructions=2,
+                          memory_accesses=3, lock_cache_misses=4,
+                          l1d_misses=5, port_waits=port_waits)
+    return SimulationOutcome(
+        benchmark="mcf", configuration="isa", timing=timing,
+        injection=InjectionStats(baseline_uops=total_uops - 1,
+                                 check_uops=1),
+        pointer_stats=PointerIdStats(memory_ops=3, pointer_ops=1),
+        pages=PageAccountant(data_words=set(data_words)))
 
 
 class TestOutcomeAccumulator:
-    def test_matches_aggregate_outcomes_exactly(self):
-        bundle = TraceBundle.generate("mcf-long", seed=7,
-                                      instructions=20_000, sampling=SMALL)
-        simulator = Simulator()
-        outcomes = simulator.sample_outcomes(bundle, ISA)
-        accumulator = OutcomeAccumulator()
-        for outcome in outcomes:
-            accumulator.add(outcome)
-        assert len(accumulator) == len(outcomes)
-        folded = accumulator.finalize()
-        reference = aggregate_outcomes(outcomes)
-        assert folded.timing == reference.timing
-        # Port waits are floats: the streaming fold must be *equal*, not
-        # merely close — same expression, same iteration order.
-        assert folded.timing.port_waits == reference.timing.port_waits
-        assert folded.injection == reference.injection
-        assert folded.pointer_stats == reference.pointer_stats
-        assert folded.pages.data_words == reference.pages.data_words
-        assert folded.pages.shadow_words == reference.pages.shadow_words
-        assert (folded.benchmark, folded.configuration) == \
-            (reference.benchmark, reference.configuration)
+    def test_counters_sum_and_port_waits_are_cycle_weighted(self):
+        first = _outcome(100, 150, {"load": 2.0, "store": 1.0}, {0, 8})
+        second = _outcome(300, 330, {"load": 4.0}, {8, 16})
+        folded = aggregate_outcomes(iter([first, second]))
+        assert folded.timing == TimingResult(
+            cycles=400, total_uops=480, injected_uops=2,
+            macro_instructions=4, memory_accesses=6, lock_cache_misses=8,
+            l1d_misses=10,
+            port_waits={"load": 2.0 * (100 / 400) + 4.0 * (300 / 400),
+                        "store": 1.0 * (100 / 400)})
+        assert folded.injection == InjectionStats(baseline_uops=478,
+                                                  check_uops=2)
+        assert folded.pointer_stats == PointerIdStats(memory_ops=6,
+                                                      pointer_ops=2)
+        assert folded.pages.data_words == {0, 8, 16}
+        assert (folded.benchmark, folded.configuration) == ("mcf", "isa")
 
     def test_empty_accumulator_refuses_finalize(self):
         with pytest.raises(ValueError):
             OutcomeAccumulator().finalize()
+        with pytest.raises(ValueError):
+            aggregate_outcomes([])
 
 
 class TestSlotCompaction:
@@ -342,25 +377,6 @@ class TestFootprintAudit:
         tuple_only.__dict__["_uop_tuples"] = tuples
         cache[key] = dc.replace(built, measured=tuple_only)
         assert bundle.footprint_ops() == base + 8 * len(tuples)
-
-
-class TestUseStreaming:
-    def test_threshold_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_STREAMING", raising=False)
-        assert not use_streaming(20_000, SMALL)
-        assert use_streaming(STREAMING_THRESHOLD_INSTRUCTIONS + 1, SMALL)
-        assert not use_streaming(STREAMING_THRESHOLD_INSTRUCTIONS + 1, None)
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STREAMING", "1")
-        assert use_streaming(20_000, SMALL)
-        monkeypatch.setenv("REPRO_STREAMING", "0")
-        assert not use_streaming(100_000_000, SMALL)
-
-    def test_degenerate_schedules_never_stream(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STREAMING", "1")
-        assert not use_streaming(20_000, SamplingConfig.unsampled(20_000))
-        assert not use_streaming(1_000, SMALL)  # measures nothing
 
 
 class TestOneBPlumbing:
