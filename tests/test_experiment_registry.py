@@ -236,6 +236,32 @@ class TestGoldenQuickSampling:
         assert report.result.summary == GOLDEN[name]
 
 
+class TestMergedSampledGeneration:
+    def test_each_sampled_workload_is_generated_once(self, monkeypatch):
+        # fig7, fig9 and fig11 share their benchmarks: one merged batch must
+        # walk each benchmark's sample stream exactly once, whatever the
+        # number of configurations and experiments that read it.
+        from collections import Counter
+
+        from repro.workloads.streaming import SampleStream
+
+        walks = Counter()
+        segments = SampleStream.segments
+
+        def counted(stream):
+            walks[stream.benchmark] += 1
+            return segments(stream)
+
+        monkeypatch.setattr(SampleStream, "segments", counted)
+        settings = ExperimentSettings(
+            benchmarks=("gzip", "mcf"), instructions=12_000,
+            sampling=SamplingConfig(fast_forward=2000, warmup=500,
+                                    sample=1500))
+        run_experiments(["fig7", "fig9", "fig11"], settings=settings,
+                        workers=1)
+        assert walks == {"gzip": 1, "mcf": 1}
+
+
 class TestCliRun:
     def _cli(self, argv):
         from repro import cli

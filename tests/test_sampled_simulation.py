@@ -225,6 +225,30 @@ class TestEngineRoundTrip:
                                  pipeline="compiled", cells=(("wd", ISA),)))
         assert not _BUNDLES
 
+    @pytest.mark.parametrize("instructions,sampling", [
+        (3_000, SamplingConfig.unsampled(3_000)),  # measures everything
+        (1_000, SMALL),                            # measures nothing
+    ])
+    def test_non_sampling_schedules_run_the_unsampled_job(
+            self, monkeypatch, instructions, sampling):
+        import repro.sim.engine as engine_mod
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("took the sampled executor")
+
+        monkeypatch.setattr(engine_mod, "_execute_sampled", refuse)
+        job = BenchmarkJob(benchmark="gzip", seed=7,
+                           instructions=instructions,
+                           warmup_instructions=None, sampling=sampling,
+                           pipeline="compiled", cells=(("wd", ISA),))
+        plain = dataclasses.replace(job, sampling=None)
+        _BUNDLES.clear()
+        try:
+            assert engine_mod.execute_job(job) == \
+                engine_mod.execute_job(plain)
+        finally:
+            _BUNDLES.clear()
+
     def test_sampling_is_part_of_the_cell_identity(self, tmp_path):
         cache = ResultCache(tmp_path)
         engine = SweepEngine(cache=cache)

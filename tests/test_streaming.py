@@ -215,6 +215,32 @@ class TestStreamingGoldenEquality:
         assert _outcome_digest(streamed) == MCF_LONG_DIGESTS["isa"]
 
 
+class _InlinePool:
+    """A stand-in sample pool: runs each task at submit, counts in-flight."""
+
+    def __init__(self):
+        self.submitted = 0
+        self.inflight = 0
+        self.peak = 0
+
+    def submit(self, fn, *args):
+        from concurrent.futures import Future
+
+        future = Future()
+        future.set_result(fn(*args))
+        self.submitted += 1
+        self.inflight += 1
+        self.peak = max(self.peak, self.inflight)
+        done = future.result
+
+        def result(timeout=None):
+            self.inflight -= 1
+            return done(timeout)
+
+        future.result = result
+        return future
+
+
 class TestEngineStreaming:
     def _job(self):
         from repro.sim.engine import BenchmarkJob
@@ -249,6 +275,18 @@ class TestEngineStreaming:
         with ProcessPoolExecutor(max_workers=2) as pool:
             pooled = execute_job(self._job(), sample_pool=pool, workers=2)
         assert _digest(pooled) == JOB_CELLS_DIGEST
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pooled_sink_window_follows_workers(self, workers):
+        from repro.sim.engine import execute_job
+
+        # mcf-long at 20k under SMALL yields 5 samples, more than either
+        # window, so the peak shows the window itself.
+        pool = _InlinePool()
+        cells = execute_job(self._job(), sample_pool=pool, workers=workers)
+        assert pool.submitted == 5
+        assert pool.peak == workers + 2
+        assert _digest(cells) == JOB_CELLS_DIGEST
 
     def test_sweep_round_trip(self):
         from repro.sim.engine import SweepEngine
@@ -292,11 +330,54 @@ class TestOutcomeAccumulator:
         assert folded.pages.data_words == {0, 8, 16}
         assert (folded.benchmark, folded.configuration) == ("mcf", "isa")
 
+    def test_single_outcome_fold_is_identity(self):
+        only = _outcome(100, 150, {"load": 2.5, "store": 0.1}, {0, 8})
+        folded = aggregate_outcomes([only])
+        assert folded.timing == only.timing
+        assert folded.injection == only.injection
+        assert folded.pointer_stats == only.pointer_stats
+        assert folded.pages.data_words == only.pages.data_words
+
+    def test_retained_and_streamed_samples_are_identical(self):
+        # The retained bundle replays each sample from one multi-sample
+        # bundle; streaming wraps each segment as its own bundle.  Sample by
+        # sample the outcomes agree, and so do the folds.
+        retained = TraceBundle.generate("mcf-long", seed=7,
+                                        instructions=20_000, sampling=SMALL)
+        stream = SampleStream("mcf-long", 7, 20_000, SMALL)
+        simulator = Simulator()
+        streamed = [simulator.sample_outcome(stream.segment_bundle(segment),
+                                             0, ISA)
+                    for segment in stream.segments()]
+        assert len(streamed) == len(retained.samples)
+        for index, outcome in enumerate(streamed):
+            assert _outcome_digest(outcome) == _outcome_digest(
+                simulator.sample_outcome(retained, index, ISA))
+        assert _outcome_digest(aggregate_outcomes(streamed)) == \
+            _outcome_digest(simulator.run_bundle(retained, ISA)) == \
+            MCF_LONG_DIGESTS["isa"]
+
     def test_empty_accumulator_refuses_finalize(self):
         with pytest.raises(ValueError):
             OutcomeAccumulator().finalize()
         with pytest.raises(ValueError):
             aggregate_outcomes([])
+
+
+class TestBenchmarkEntryPoints:
+    def test_traced_entry_points_resolve(self):
+        # perfbench/tracing.py wraps these where callers look them up and
+        # refuses to run when one has moved; keep the table resolvable.
+        import importlib
+
+        from perfbench.tracing import ENTRY_POINTS
+
+        for _, module_name, path, _ in ENTRY_POINTS:
+            owner = importlib.import_module(module_name)
+            *parents, attribute = path.split(".")
+            for parent in parents:
+                owner = getattr(owner, parent)
+            assert attribute in vars(owner), f"{module_name}.{path}"
 
 
 class TestSlotCompaction:
