@@ -180,8 +180,10 @@ class SharedMemoryBackend:
     def _tc_sync(self) -> None:
         """Rebuild the shared-level OrderedDicts from the native arenas.
 
-        While any attached core runs native batches, the shared-role arenas
-        (``_tc_shared``) are the authoritative L2/L3/lock-cache state.
+        Once any attached core has run a native batch or native working-set
+        warm-up, the shared-role arenas (``_tc_shared``) are the
+        authoritative L2/L3/lock-cache state; later cores' native warm-ups
+        fill them in place.  Only a Python-path reader or writer syncs.
         Popping the dict also invalidates every core's exported
         ``_tc_state`` (each holds a reference to it — see
         :func:`repro.native._timecore.attach_state`), so their next native
@@ -642,33 +644,43 @@ class MemoryHierarchy:
 
         Either this core's private arenas (``_tc_state``) or the backend's
         shared-level arenas (``_tc_shared``) may be live: with several cores
-        attached to one backend, *another* core's native batch makes the
-        shared L2/L3/lock-cache OrderedDicts stale even if this core never
-        exported private state.
+        attached to one backend, *another* core's native batch or native
+        working-set warm-up makes the shared L2/L3/lock-cache OrderedDicts
+        stale even if this core never exported private state.
         """
         return ("_tc_state" in self.__dict__
                 or "_tc_shared" in self.shared.__dict__)
 
-    def _tc_sync(self) -> None:
-        """Rebuild the OrderedDict structures from the native arena state.
+    def _tc_sync_private(self) -> None:
+        """Rebuild only this core's private structures (L1/TLBs/L1
+        prefetcher) from its native arenas, leaving the shared levels live.
 
-        After a native batch the int64 arenas are the authoritative
-        cache/TLB/prefetcher state and the OrderedDicts are stale; counters
-        and stats are always exact.  Every Python path that reads or mutates
-        the structures directly syncs first; the compiled flow never needs
-        to (it consumes counters only).  Private roles (L1/TLBs/L1
-        prefetcher) import from this core's state, shared roles from the
-        backend's — the latter invalidating every other core's exported
-        state along the way.  Importing also returns the state's pooled
-        arenas (see ``_timecore._ARENAS``), so the next fresh hierarchy's
-        export reuses them instead of allocating and zeroing new ones —
-        the same release a dying hierarchy triggers via its finalizer.
-        No-op when no native batch has run.
+        The native working-set warm-up uses this: it fills the shared
+        arenas in place and mutates no Python structure but the private
+        TLBs.  Importing returns the state's pooled arenas (see
+        ``_timecore._ARENAS``), so the next export reuses them.  No-op when
+        this core has no exported state.
         """
         state = self.__dict__.pop("_tc_state", None)
         if state is not None:
             from repro.native import _timecore
             _timecore.import_private_state(state, self)
+
+    def _tc_sync(self) -> None:
+        """Rebuild every OrderedDict structure from the native arena state.
+
+        After a native batch or native working-set warm-up the int64 arenas
+        are the authoritative cache/TLB/prefetcher state and the
+        OrderedDicts are stale; counters and stats are always exact.  Every
+        Python path that reads or mutates the structures directly syncs
+        first; the compiled flow with the kernel loaded never needs to (it
+        consumes counters only, and its warm-up fills the live shared
+        arenas in place).  Private roles import from this core's state
+        (:meth:`_tc_sync_private`), shared roles from the backend's — the
+        latter invalidating every other core's exported state along the
+        way.  No-op when no native batch has run.
+        """
+        self._tc_sync_private()
         self.shared._tc_sync()
 
     # -- statistics ----------------------------------------------------------

@@ -842,8 +842,9 @@ def _export_state(lib, h):
     The arenas become the *authoritative* copy of the cache/TLB/prefetcher
     state: subsequent batches run the kernel directly on them with no
     per-batch marshalling, and the OrderedDicts are only rebuilt if someone
-    asks (``MemoryHierarchy._tc_sync``) — the production flow never does, it
-    reads counters, which are applied back after every batch.
+    asks (``MemoryHierarchy._tc_sync``) — the production flow never does: it
+    reads counters, which are applied back after every batch, and its
+    working-set warm-up fills the live arenas in place (:func:`cache_fill`).
 
     Private roles (L1/TLBs/L1 prefetcher) get fresh arenas per hierarchy;
     the shared roles (L2/L3/lock cache/L2 prefetcher) live in one arena set
@@ -972,7 +973,8 @@ def cache_fill(state, role, cache, pieces, limit) -> None:
     """Native form of :func:`repro.sim.compiled._install_tail`.
 
     Installs the last ``limit`` addresses of ``pieces`` (concatenated, in
-    order) into the cache's arena; ``None`` installs everything.
+    order) into the cache's live arena — for the shared roles, the backend's
+    arena every attached core aliases; ``None`` installs everything.
     """
     if limit is not None:
         kept = []

@@ -389,8 +389,11 @@ def run_mix_cell(mix_token: str = MIX_BENCHMARK,
     sweep engine uses, so the cell exercises exactly the ``repro run``
     multi-core path: sequential per-core warm-up, then the epoch-interleaved
     replay against the shared L2/L3/lock-cache backend.  The gated figure is
-    µops per second of *simulate* wall time (generation reported
-    separately), summed over both configurations and all cores.
+    µops per second of *simulate* wall time, summed over both
+    configurations and all cores.  It excludes generation (reported
+    separately) but includes everything ``run_mix`` does: compiling each
+    member's streams, the per-core working-set and trace warm-up, the
+    interleaved replay and scheduling.
     """
     from repro.sim.multicore import MultiCoreSimulator
     from repro.workloads.profiles import mix_member_seed, parse_mix_benchmark

@@ -313,11 +313,16 @@ class WarmStream:
 
 @dataclass(eq=False)
 class WorkingSetArrays:
-    """Precomputed working-set warm-up addresses (one per class)."""
+    """Precomputed working-set warm-up addresses (one per class).
 
-    shadow: List[int]
-    locks: List[int]
-    data: List[int]
+    All three columns are int64 arrays, so the native working-set install
+    (:func:`repro.native._timecore.cache_fill`) copies them without
+    conversion.
+    """
+
+    shadow: array
+    locks: array
+    data: array
 
 
 @dataclass(eq=False)
@@ -682,25 +687,23 @@ class StreamCompiler:
 
 
 def working_set_arrays(workload, config: WatchdogConfig) -> WorkingSetArrays:
-    """The three working-set address lists (shadow lines, locks, data lines).
+    """The three working-set address arrays (shadow lines, locks, data lines).
 
-    Shadow and lock lists are built only for metadata-maintaining
-    configurations; the shadow list carries ``metadata_words`` shadow lines
+    Shadow and lock arrays are filled only for metadata-maintaining
+    configurations; the shadow array carries ``metadata_words`` shadow lines
     per 64-byte data line, exactly as the timed shadow µops would touch them.
     """
+    data = array("q", workload.working_set_lines())
+    if not config.enabled:
+        return WorkingSetArrays(shadow=array("q"), locks=array("q"),
+                                data=data)
     mw = config.metadata_words
-    step = 64 // mw
-    shadow: List[int] = []
-    locks: List[int] = []
-    lines = list(workload.working_set_lines())
-    if config.enabled:
-        add = shadow.append
-        for line in lines:
-            for i in range(mw):
-                data = line + i * step
-                add(SHADOW_BIT | ((data & ~7) * mw) % _M47)
-        locks = list(workload.lock_locations())
-    return WorkingSetArrays(shadow=shadow, locks=locks, data=lines)
+    offsets = [i * (64 // mw) for i in range(mw)]
+    shadow = array("q", [SHADOW_BIT | (((line + offset) & ~7) * mw) % _M47
+                         for line in data for offset in offsets])
+    return WorkingSetArrays(shadow=shadow,
+                            locks=array("q", workload.lock_locations()),
+                            data=data)
 
 
 # -- working-set installation ----------------------------------------------------------
@@ -752,7 +755,8 @@ def _install_tail(cache, pieces, limit: Optional[int]) -> None:
 
 
 def _fill_tlb(tlb, pieces) -> None:
-    """Leave ``tlb`` holding the last distinct pages of ``pieces`` in LRU order."""
+    """Leave ``tlb`` as a sequential LRU touch of ``pieces`` would: only the
+    last ``entries`` distinct pages are touched, oldest first."""
     capacity = tlb.config.entries
     page_bytes = tlb.config.page_bytes
     seen = set()
@@ -771,7 +775,12 @@ def _fill_tlb(tlb, pieces) -> None:
         break
     entries = tlb._entries
     for page in reversed(newest_first):
-        entries[page] = True
+        if page in entries:
+            entries.move_to_end(page)
+        else:
+            if len(entries) >= capacity:
+                entries.popitem(last=False)
+            entries[page] = True
 
 
 def warm_working_set(hierarchy, ws: WorkingSetArrays,
@@ -782,8 +791,6 @@ def warm_working_set(hierarchy, ws: WorkingSetArrays,
     metadata is maintained and not idealized), then lock locations, then
     data lines — so data ends up most-recently-used in every level.
     """
-    if hierarchy._tc_dirty():
-        hierarchy._tc_sync()  # installs below mutate the Python structures
     shadow = ws.shadow if (config.enabled and not config.ideal_shadow) else ()
     locks = ws.locks if config.enabled else ()
     data = ws.data
@@ -803,9 +810,13 @@ def warm_working_set(hierarchy, ws: WorkingSetArrays,
         from repro.native import _timecore
         lib = _timecore.load()
     if lib is not None:
-        # TLBs first (cheap Python fills picked up by the state export),
-        # then the cache installs run natively on the persistent arenas —
-        # so the state never needs flattening after the bulk install.
+        # The cache installs fill the live arenas in place: the L2/L3/lock
+        # roles alias the backend's shared arenas, which a sibling core's
+        # warm-up may already have made authoritative, so the shared
+        # levels are never imported back or re-exported here.  Only the
+        # private TLBs are filled in Python, before the state export picks
+        # them up; a core whose private arenas are live imports them first.
+        hierarchy._tc_sync_private()
         _fill_tlb(hierarchy.dtlb, l1_pieces)
         if lock_pieces:
             _fill_tlb(hierarchy.lock_tlb, lock_pieces)
@@ -820,6 +831,7 @@ def warm_working_set(hierarchy, ws: WorkingSetArrays,
             _timecore.cache_fill(state, "lk", lock_cache, lock_pieces,
                                  lock_cache._num_sets * lock_cache._assoc)
     else:
+        hierarchy._tc_sync()  # the installs mutate the Python structures
         _install_tail(l1, l1_pieces, l1._num_sets * l1._assoc)
         _install_tail(l2, all_pieces, l2._num_sets * l2._assoc)
         _install_tail(hierarchy.l3, all_pieces, None)

@@ -10,13 +10,16 @@ Pins the contracts the multi-core path lives by:
   bit-identical whether the shared levels live in C arenas or OrderedDicts.
 * **Shared-state staleness guards** — a native batch on one core makes the
   backend's shared L2/L3/lock-cache OrderedDicts stale for *every* attached
-  core; any Python-path consumer on a sibling core must sync first.
+  core; any Python-path consumer on a sibling core must sync first, while a
+  native working-set warm-up fills the live shared arenas in place.
 * Mix token grammar, per-member seed derivation, per-core result blocks and
   their cache round-trip, and the ``mix_overhead`` experiment end to end.
 """
 
 import dataclasses
 import json
+import random
+from collections import Counter
 
 import pytest
 
@@ -27,12 +30,13 @@ from repro.native import _timecore
 from repro.pipeline.config import MachineConfig
 from repro.pipeline.core import OutOfOrderCore, _derived_hierarchy_config
 from repro.sim.cache import ResultCache
+from repro.sim.compiled import warm_working_set, working_set_arrays
 from repro.sim.multicore import MultiCoreSimulator
 from repro.sim.results import CellResult, CoreResult
 from repro.sim.sampling import SamplingConfig
 from repro.sim.simulator import Simulator
 from repro.sim.spec import RunRequest
-from repro.workloads.bundle import TraceBundle
+from repro.workloads.bundle import TraceBundle, WorkingSetSnapshot
 from repro.workloads.profiles import (
     MIXES,
     mix_by_name,
@@ -223,8 +227,6 @@ class TestSharedStateSync:
 
     @staticmethod
     def _access_plan(cores, length=2_000, seed=99):
-        import random
-
         rng = random.Random(seed)
         plans = []
         for _ in range(cores):
@@ -312,6 +314,122 @@ class TestSharedStateSync:
         assert mixed_lats == twin_lats
         for mixed_h, twin_h in zip((native_h, python_h), twins):
             assert _timecore._same_hierarchy(mixed_h, twin_h)
+
+
+    @staticmethod
+    def _working_set(config, seed):
+        """Heap lines over ~1k pages (beyond the L2's and the TLBs' reach)
+        plus lock locations, away from the access plans' addresses."""
+        rng = random.Random(seed)
+        snapshot = WorkingSetSnapshot(
+            lines=tuple(0x1000_0000 + 64 * line
+                        for line in rng.sample(range(1 << 16), 6_000)),
+            locks=tuple(0x6000_0000 + 8 * rng.randrange(1 << 14)
+                        for _ in range(600)))
+        return working_set_arrays(snapshot, config)
+
+    @staticmethod
+    def _assert_same(hierarchies, twins, backends):
+        for hierarchy, twin in zip(hierarchies, twins):
+            assert _timecore._same_hierarchy(hierarchy, twin)
+        backend, twin_backend = backends
+        for shared_name in ("l2", "l3", "lock_cache"):
+            cache = getattr(backend, shared_name)
+            twin_cache = getattr(twin_backend, shared_name)
+            assert (cache.hits, cache.misses) == \
+                (twin_cache.hits, twin_cache.misses)
+
+    def test_mix_warm_up_fills_the_live_shared_arenas_in_place(
+            self, monkeypatch):
+        """A 4-core mix exports the shared levels once and never imports."""
+        calls = Counter()
+        backends = []
+
+        def counted(name, note=None):
+            original = getattr(_timecore, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                if note is not None:
+                    note(*args)
+                return original(*args)
+            monkeypatch.setattr(_timecore, name, wrapper)
+
+        def note_export(lib, hierarchy):
+            backends.append(hierarchy.shared)
+            if "_tc_shared" not in hierarchy.shared.__dict__:
+                calls["shared export"] += 1
+
+        counted("import_shared_state")
+        counted("import_private_state")
+        counted("_export_state", note_export)
+        shared_dicts = []
+        attach = _timecore.attach_state
+
+        def recording_attach(lib, hierarchy):
+            state = attach(lib, hierarchy)
+            shared_dicts.append(state["shared"])
+            return state
+        monkeypatch.setattr(_timecore, "attach_state", recording_attach)
+
+        _, _, bundles = _mix_bundles("mix1")
+        MultiCoreSimulator(pipeline="compiled", timecore=True).run_mix(
+            "mix1", bundles, CONFIGURATIONS["isa-assisted"])
+        assert calls["import_shared_state"] == 0
+        assert calls["import_private_state"] == 0
+        assert calls["_export_state"] == 4  # each core's private state once
+        assert calls["shared export"] == 1
+        backend, = set(backends)
+        # Every warm-up and replay batch ran on the arenas core 0 exported.
+        assert len(shared_dicts) > 4
+        assert all(tc_shared is shared_dicts[0] for tc_shared in shared_dicts)
+        assert backend.__dict__["_tc_shared"] is shared_dicts[0]
+
+    def test_warm_up_over_live_private_state_matches_python(self):
+        """A core whose private arenas are live imports them, then warms."""
+        config = WatchdogConfig.isa_assisted_uaf()
+        ws = self._working_set(config, seed=5)
+        (before, after) = self._access_plan(2)
+        length = len(before[0])
+        cores, lats = [], []
+        for native in (True, False):
+            backend, (hierarchy,) = self._core_pair((native,))
+            core_lats = [0] * (2 * length)
+            hierarchy.access_batch(*before, list(range(length)), core_lats)
+            assert ("_tc_state" in hierarchy.__dict__) is native
+            warm_working_set(hierarchy, ws, config)
+            hierarchy.access_batch(*after, list(range(length, 2 * length)),
+                                   core_lats)
+            cores.append((backend, hierarchy))
+            lats.append(core_lats)
+        assert lats[0] == lats[1]
+        (backend, native_h), (twin_backend, python_h) = cores
+        self._assert_same([native_h], [python_h], (backend, twin_backend))
+
+    def test_python_core_warms_over_a_siblings_live_shared_arenas(self):
+        """Native / Python / native warm-ups on one backend == all-Python."""
+        config = WatchdogConfig.isa_assisted_uaf()
+        mixed_backend, mixed = self._core_pair((True, False, True))
+        twin_backend, twins = self._core_pair((False, False, False))
+        working_sets = [self._working_set(config, seed) for seed in range(3)]
+        plans = self._access_plan(3)
+        lats = []
+        for backend, hierarchies in ((mixed_backend, mixed),
+                                     (twin_backend, twins)):
+            for index, (hierarchy, ws) in enumerate(
+                    zip(hierarchies, working_sets)):
+                if hierarchies is mixed and index == 1:
+                    assert hierarchy.native_override is False
+                    assert "_tc_shared" in backend.__dict__
+                warm_working_set(hierarchy, ws, config)
+            core_lats = []
+            for (addrs, specs), hierarchy in zip(plans, hierarchies):
+                core_lats.append([0] * len(addrs))
+                hierarchy.access_batch(addrs, specs, list(range(len(addrs))),
+                                       core_lats[-1])
+            lats.append(core_lats)
+        assert lats[0] == lats[1]
+        self._assert_same(mixed, twins, (mixed_backend, twin_backend))
 
 
 class TestResultPlumbing:
