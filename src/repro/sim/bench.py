@@ -73,6 +73,14 @@ FAST_FORWARD_BENCHMARK = "mcf-long"
 FAST_FORWARD_OPS = 8_000_000
 FAST_FORWARD_QUICK_OPS = 2_000_000
 
+#: The emit-only cell: how fast the generator writes token columns, in
+#: windows the size of a paper-stream warm-up/measure window, each dropped
+#: as soon as it is written.  Gated in CI via ``emit_ops_per_sec``.
+EMIT_BENCHMARK = "mcf-long"
+EMIT_OPS = 4_000_000
+EMIT_QUICK_OPS = 1_000_000
+EMIT_WINDOW = 50_000
+
 #: The multi-core mix cell: the most memory-intensive 4-app bundle replayed
 #: through :class:`~repro.sim.multicore.MultiCoreSimulator` under the
 #: unprotected baseline and the headline ISA-assisted configuration.  Gated
@@ -247,6 +255,29 @@ def run_fast_forward_cell(benchmark: str = FAST_FORWARD_BENCHMARK,
         "ops": ops,
         "wall_seconds": round(wall, 4),
         "fast_forward_ops_per_sec": round(ops / wall, 1) if wall else 0.0,
+        "accelerated": _ffcore.load() is not None,
+    }
+
+
+def run_emit_cell(benchmark: str = EMIT_BENCHMARK, ops: int = EMIT_OPS,
+                  seed: int = DEFAULT_SEED) -> Dict[str, object]:
+    """Time emission alone: token columns written window by window, dropped.
+
+    Workload construction is excluded, as in the fast-forward cell;
+    ``accelerated`` records whether the native emitter was active.
+    """
+    workload = SyntheticWorkload(profile_by_name(benchmark), seed=seed)
+    emitted = 0
+    t0 = time.perf_counter()
+    while emitted < ops:
+        emitted += len(workload.emit(min(EMIT_WINDOW, ops - emitted)))
+    wall = time.perf_counter() - t0
+    return {
+        "benchmark": benchmark,
+        "ops": ops,
+        "window": EMIT_WINDOW,
+        "wall_seconds": round(wall, 4),
+        "emit_ops_per_sec": round(ops / wall, 1) if wall else 0.0,
         "accelerated": _ffcore.load() is not None,
     }
 
@@ -499,6 +530,9 @@ def run_bench(benchmarks: Optional[Sequence[str]] = None,
     full 1B horizon in flat memory is the point; its schedule is already
     smoke-tier).
 
+    The emit-only cell (:func:`run_emit_cell`, scaled down by ``quick``)
+    always runs: it takes well under a second.
+
     Every cell record is stamped with ``peak_rss_mb`` — the process peak
     RSS as of that cell finishing (best-effort; absent where ``getrusage``
     is unavailable) — so ``BENCH_<rev>.json`` tracks the memory trajectory
@@ -533,6 +567,8 @@ def run_bench(benchmarks: Optional[Sequence[str]] = None,
         },
         "compiled": _stamped(run_matrix(benchmarks, instructions, seed,
                                         PIPELINE_COMPILED, sampling=sampling)),
+        "emit": _stamped(run_emit_cell(
+            ops=EMIT_QUICK_OPS if quick else EMIT_OPS, seed=seed)),
     }
     if include_reference:
         record["reference"] = _stamped(
@@ -609,11 +645,13 @@ def check_against_baseline(record: Dict[str, object], baseline_path: str,
     ``uops_per_sec`` (typically measured on the slowest supported runner
     class); the check fails when throughput drops more than
     ``max_regression`` below it.  ``sampled_uops_per_sec``,
-    ``fast_forward_ops_per_sec``, ``paper_sampled_uops_per_sec``,
+    ``fast_forward_ops_per_sec``, ``emit_ops_per_sec``,
+    ``paper_sampled_uops_per_sec``,
     ``suite_cells_per_sec``, ``kernel_uops_per_sec``,
     ``compile_uops_per_sec``, ``mix_uops_per_sec`` and
     ``one_b_ops_per_sec`` baseline entries additionally gate the sampled
-    long-profile cell, the skip-window-only fast-forward cell, the 100M
+    long-profile cell, the skip-window-only fast-forward cell, the
+    emit-only cell, the 100M
     paper-scale cell, the merged registry suite cell, the native-timecore
     matrix cell (simulate-phase and compile-phase throughput respectively),
     the 4-core mix cell and the billion-instruction streaming cell the same
@@ -637,6 +675,7 @@ def check_against_baseline(record: Dict[str, object], baseline_path: str,
          "uops/sec"),
         ("fast_forward", "fast_forward", "fast_forward_ops_per_sec",
          "fast_forward_ops_per_sec", "ops/sec"),
+        ("emit", "emit", "emit_ops_per_sec", "emit_ops_per_sec", "ops/sec"),
         ("paper_sampled", "paper_sampled", "paper_sampled_uops_per_sec",
          "uops_per_sec", "uops/sec"),
         ("suite", "suite", "suite_cells_per_sec", "suite_cells_per_sec",
@@ -750,6 +789,14 @@ def format_summary(record: Dict[str, object]) -> str:
             f"{fast_forward['wall_seconds']:.2f}s — "
             f"{fast_forward['fast_forward_ops_per_sec']:,.0f} ops/sec "
             f"({'native kernel' if fast_forward['accelerated'] else 'pure python'})")
+    emit = record.get("emit")
+    if emit:
+        lines.append(
+            f"{'emit':>13}: {emit['benchmark']} "
+            f"{emit['ops']:,} ops emitted in {emit['window']:,}-op windows "
+            f"in {emit['wall_seconds']:.2f}s — "
+            f"{emit['emit_ops_per_sec']:,.0f} ops/sec "
+            f"({'native kernel' if emit['accelerated'] else 'pure python'})")
     timecore = record.get("timecore")
     if timecore:
         compile_rate = timecore.get("compile_uops_per_sec")

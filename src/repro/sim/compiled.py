@@ -48,7 +48,7 @@ import dataclasses
 from array import array
 from collections import Counter, OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Union
 
 from repro.native._timecore import pack_entry_words, unpack_words
 
@@ -87,8 +87,10 @@ from repro.sim.trace import (
     DynamicOp,
     HIERARCHY_LATENCY_KINDS,
     LQ_KINDS,
+    NO_ADDRESS,
     SQ_KINDS,
     TraceExpander,
+    TraceTokens,
 )
 
 _M47 = 1 << 47
@@ -120,46 +122,34 @@ def stream_class_key(config: WatchdogConfig) -> tuple:
 
 # -- tokenization ---------------------------------------------------------------------
 
-class TraceTokens:
-    """A dynamic trace reduced to interned instruction identities."""
-
-    __slots__ = ("tids", "addrs", "locks", "mis", "insts")
-
-    def __init__(self, tids, addrs, locks, mis, insts):
-        self.tids = tids
-        self.addrs = addrs
-        self.locks = locks
-        self.mis = mis
-        #: One representative :class:`Instruction` per identity.
-        self.insts = insts
-
-    def __len__(self) -> int:
-        return len(self.tids)
-
-
-def tokenize(trace: Iterable[DynamicOp]) -> TraceTokens:
+def tokenize(trace: Union[TraceTokens, Iterable[DynamicOp]]) -> TraceTokens:
     """Intern a dynamic trace into parallel (tid, address, lock, mis) arrays.
 
-    The identity key covers every instruction field that can influence µop
+    A :class:`TraceTokens` trace (what the synthetic generator emits) is
+    returned unchanged.  Any other trace — a :class:`DynamicOp` sequence,
+    e.g. recorded by the functional machine — is interned here.  The
+    identity key covers every instruction field that can influence µop
     injection or timing annotation under the default (stateless) pointer
     identifiers: opcode, register operands, access size and pointer hint.
     Immediates, labels and comments are deliberately excluded — they never
-    reach the timing model.
+    reach the timing model.  A missing address or lock becomes
+    :data:`~repro.sim.trace.NO_ADDRESS`.
 
-    The synthetic workload generator interns :class:`Instruction` objects
-    per shape, so most dynamic ops repeat a handful of object identities;
-    those resolve through an ``id()``-keyed memo (the ``keepalive`` list
-    pins the memoized objects, so an id can never be recycled mid-call) and
-    only the first occurrence of each object pays for the structural key.
+    Traces usually repeat a handful of :class:`Instruction` objects; those
+    resolve through an ``id()``-keyed memo (the ``keepalive`` list pins the
+    memoized objects, so an id can never be recycled mid-call) and only the
+    first occurrence of each object pays for the structural key.
     """
+    if isinstance(trace, TraceTokens):
+        return trace
     key_to_tid = {}
     id_to_tid = {}
     keepalive: List[Instruction] = []
     insts: List[Instruction] = []
-    tids: List[int] = []
-    addrs: List[Optional[int]] = []
-    locks: List[Optional[int]] = []
-    mis: List[bool] = []
+    tids = array("q")
+    addrs = array("q")
+    locks = array("q")
+    mis = array("q")
     get = key_to_tid.get
     id_get = id_to_tid.get
     keep = keepalive.append
@@ -207,9 +197,11 @@ def tokenize(trace: Iterable[DynamicOp]) -> TraceTokens:
             id_to_tid[id(inst)] = tid
             keep(inst)
         append_tid(tid)
-        append_addr(dop.address)
-        append_lock(dop.lock_address)
-        append_mis(dop.mispredicted)
+        address = dop.address
+        append_addr(NO_ADDRESS if address is None else address)
+        lock = dop.lock_address
+        append_lock(NO_ADDRESS if lock is None else lock)
+        append_mis(1 if dop.mispredicted else 0)
     return TraceTokens(tids, addrs, locks, mis, insts)
 
 
@@ -352,9 +344,10 @@ class _Template:
 # -- the compiler ----------------------------------------------------------------------
 
 #: Cross-bundle template cache: one entry per (configuration class, machine,
-#: instruction identity).  Different bundles intern different Instruction
-#: objects for the same static shapes, so the per-compiler id() memo alone
-#: re-expands every identity once per bundle; this cache shares the built
+#: instruction identity).  Every bundle segment compiles through a fresh
+#: :class:`StreamCompiler`, and traces recorded outside the generator carry
+#: their own Instruction objects, so the per-compiler id() memo alone would
+#: re-expand every identity once per compile; this cache shares the built
 #: templates across bundles and sweeps.  Templates are immutable after
 #: construction — every consumer copies out of them.  The cap is a
 #: backstop for unbounded sweeps; a full cache simply restarts cold.
@@ -396,8 +389,8 @@ class StreamCompiler:
         self._shadow_step = 64 // self._mw
         #: Templates memoized per interned-instruction identity: the warm
         #: and measured token streams of one bundle share most identities
-        #: (the generator reuses Instruction objects across the boundary),
-        #: so compiling the warm stream after the measured one rebuilds
+        #: (the generator's are all drawn from one static shape table), so
+        #: compiling the warm stream after the measured one rebuilds
         #: almost nothing.  Keyed by id(); ``_template_pins`` keeps every
         #: memoized instruction alive so an id is never recycled.
         self._templates: Dict[int, _Template] = {}
@@ -493,6 +486,14 @@ class StreamCompiler:
         t.injected_cost = injected_cost
         return t
 
+    def _templates_for(self, tokens: TraceTokens, used) -> List:
+        """Templates by tid, built only for the ``used`` tids (else None)."""
+        insts = tokens.insts
+        templates: List = [None] * len(insts)
+        for tid in used:
+            templates[tid] = self._template(insts[tid])
+        return templates
+
     # -- measured stream ----------------------------------------------------------
     def compile_measured(self, tokens: TraceTokens) -> CompiledStream:
         """Pack the measured stream plus its exact statistics.
@@ -505,24 +506,30 @@ class StreamCompiler:
         widths, the whole stream is assembled from tuples instead and
         marked tuple-only (the Python scheduler has no width limits).
         """
-        insts = tokens.insts
-        build = self._template
-        templates = [build(inst) for inst in insts]
-        flat = all(t.words is not None for t in templates)
-        if flat:
-            stream_uops: object = array("q")
-            main = [t.words for t in templates]
-            mis = [t.words if t.mis_words is None else t.mis_words
-                   for t in templates]
-        else:
-            stream_uops = []
-            main = [t.uops for t in templates]
-            mis = [t.uops if t.mis_uops is None else t.mis_uops
-                   for t in templates]
-        lats_by_tid = [t.lats for t in templates]
-        ops_by_tid = [t.addr_ops for t in templates]
-        size_by_tid = [t.size for t in templates]
-        n_by_tid = [t.n for t in templates]
+        counts = Counter(tokens.tids)
+        templates = self._templates_for(tokens, counts)
+        used = [t for t in templates if t is not None]
+        flat = all(t.words is not None for t in used)
+        # Indexed by tid; shapes absent from the stream keep a None slot.
+        main: List = [None] * len(templates)
+        mis: List = [None] * len(templates)
+        lats_by_tid: List = [None] * len(templates)
+        ops_by_tid: List = [None] * len(templates)
+        size_by_tid: List = [None] * len(templates)
+        n_by_tid: List = [None] * len(templates)
+        for tid in counts:
+            t = templates[tid]
+            if flat:
+                main[tid] = t.words
+                mis[tid] = t.words if t.mis_words is None else t.mis_words
+            else:
+                main[tid] = t.uops
+                mis[tid] = t.uops if t.mis_uops is None else t.mis_uops
+            lats_by_tid[tid] = t.lats
+            ops_by_tid[tid] = t.addr_ops
+            size_by_tid[tid] = t.size
+            n_by_tid[tid] = t.n
+        stream_uops: object = array("q") if flat else []
         lats = array("q")
         mem_pos = array("q")
         mem_addr = array("q")
@@ -539,6 +546,7 @@ class StreamCompiler:
         mw8 = mw * 8
         frame_lock = self._frame_start
         frame_floor = self._frame_floor
+        no_address = NO_ADDRESS
         base = 0
 
         for tid, address, lock, mispredicted in zip(
@@ -549,7 +557,7 @@ class StreamCompiler:
             if addr_ops:
                 for off, rule, spec in addr_ops:
                     if rule == ADDR_DATA:
-                        if address is not None:
+                        if address != no_address:
                             add_pos(base + off)
                             add_addr(address)
                             add_spec(spec)
@@ -559,7 +567,7 @@ class StreamCompiler:
                                 data_words.add(word)
                                 word += 8
                     elif rule == ADDR_SHADOW:
-                        if address is not None:
+                        if address != no_address:
                             shadow = SHADOW_BIT | ((address & ~7) * mw) % _M47
                             add_pos(base + off)
                             add_addr(shadow)
@@ -570,7 +578,7 @@ class StreamCompiler:
                                 shadow_words.add(word)
                                 word += 8
                     elif rule == ADDR_LOCK:
-                        if lock is not None:
+                        if lock != no_address:
                             add_pos(base + off)
                             add_addr(lock)
                             add_spec(spec)
@@ -589,7 +597,6 @@ class StreamCompiler:
             base += n_by_tid[tid]
 
         # -- exact totals from per-template deltas -------------------------------
-        counts = Counter(tokens.tids)
         stat_totals = [0] * 8
         memory_ops = pointer_ops = total_cost = injected_cost = 0
         for tid, count in counts.items():
@@ -636,8 +643,8 @@ class StreamCompiler:
         accesses).  Emits int64 arrays directly, so the native warm replay
         (:func:`repro.native._timecore.run_batch`) skips its conversion.
         """
-        build = self._template
-        ops_by_tid = [build(inst).addr_ops for inst in tokens.insts]
+        ops_by_tid = [None if t is None else t.addr_ops
+                      for t in self._templates_for(tokens, set(tokens.tids))]
         addrs = array("q")
         specs = array("q")
         add_addr = addrs.append
@@ -647,11 +654,12 @@ class StreamCompiler:
         warm_shadow = self.config.enabled
         frame_lock = self._frame_start
         frame_floor = self._frame_floor
+        no_address = NO_ADDRESS
 
         for tid, address, lock in zip(tokens.tids, tokens.addrs, tokens.locks):
             for off, rule, spec in ops_by_tid[tid]:
                 if rule == ADDR_DATA:
-                    if address is not None:
+                    if address != no_address:
                         add_addr(address)
                         add_spec(spec)
                         if warm_shadow:
@@ -661,11 +669,11 @@ class StreamCompiler:
                                 add_addr(SHADOW_BIT | ((data & ~7) * mw) % _M47)
                                 add_spec(SPEC_SHADOW_READ)
                 elif rule == ADDR_SHADOW:
-                    if address is not None:
+                    if address != no_address:
                         add_addr(SHADOW_BIT | ((address & ~7) * mw) % _M47)
                         add_spec(spec)
                 elif rule == ADDR_LOCK:
-                    if lock is not None:
+                    if lock != no_address:
                         add_addr(lock)
                         add_spec(spec)
                 elif rule == ADDR_FRAME_PUSH:

@@ -139,12 +139,13 @@ class BenchmarkJob:
 #: the same benchmark land on one worker (e.g. after a cache partially
 #: resolved a grid) the trace is generated at most once per process.
 #: Bounded by each bundle's *live footprint* (:meth:`TraceBundle.footprint_ops`)
-#: rather than entry count: that counts the raw trace streams plus the
-#: compiled token/stream caches and working-set arrays a replayed bundle pins,
-#: which dwarf the traces themselves.  At the default scale (20 benchmarks ×
-#: 10k ops plus their compiled streams) everything stays memoized across an
-#: `--all` run, while larger bundles evict LRU-first instead of pinning
-#: gigabytes in a long-lived worker.
+#: rather than entry count, in int64 slots (8 bytes; the budget is ~64 MB):
+#: four token columns per trace op, plus the compiled streams and
+#: working-set arrays a replayed bundle pins, which dwarf the traces
+#: themselves.  At the default scale (20 benchmarks × 10k ops plus their
+#: compiled streams) everything stays memoized across an `--all` run, while
+#: larger bundles evict LRU-first instead of pinning gigabytes in a
+#: long-lived worker.
 _BUNDLES: "OrderedDict[Tuple[str, int, int, Optional[int], Optional[SamplingConfig]], TraceBundle]" = \
     OrderedDict()
 _BUNDLES_OP_BUDGET = 8_000_000

@@ -29,7 +29,7 @@ from repro.pipeline.core import OutOfOrderCore, TimingResult
 from repro.program.ir import Program
 from repro.program.machine import ExecutionResult, Machine
 from repro.sim.sampling import SamplingConfig
-from repro.sim.trace import DynamicOp, TraceExpander
+from repro.sim.trace import DynamicOp, TraceExpander, TraceTokens
 from repro.workloads.bundle import TraceBundle, WorkingSet, \
     default_warmup_instructions
 from repro.workloads.profiles import BenchmarkProfile, profile_by_name
@@ -216,10 +216,10 @@ class Simulator:
             # Materialize generator traces next: compilation consumes the
             # iterator, and an unsupported-shape fallback must replay the
             # *whole* trace through the reference model, not the remainder.
-            if not isinstance(trace, (list, tuple)):
+            if not isinstance(trace, (list, tuple, TraceTokens)):
                 trace = list(trace)
             if warmup_trace is not None and \
-                    not isinstance(warmup_trace, (list, tuple)):
+                    not isinstance(warmup_trace, (list, tuple, TraceTokens)):
                 warmup_trace = list(warmup_trace)
             outcome = self._run_trace_compiled(trace, config, name,
                                                warmup_trace, workload)
@@ -434,7 +434,7 @@ class Simulator:
                 return self._run_compiled(streams.measured, streams.warm,
                                           streams.working_set, config,
                                           bundle.benchmark)
-        return self.run_trace(iter(bundle.measured), config,
+        return self.run_trace(bundle.measured, config,
                               name=bundle.benchmark,
                               warmup_trace=bundle.warmup or None,
                               workload=bundle.working_set)
@@ -484,7 +484,7 @@ class Simulator:
         # run_trace's re-tokenize-and-retry would be wasted work.
         sample = bundle.samples[index]
         return self._run_trace_reference(
-            iter(sample.measured), config, bundle.benchmark,
+            sample.measured, config, bundle.benchmark,
             sample.warmup or None, sample.working_set)
 
     # -- program detection runs --------------------------------------------------------

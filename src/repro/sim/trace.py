@@ -45,6 +45,72 @@ class DynamicOp:
     mispredicted: bool = False
 
 
+#: The "no address" value of a token column (``address`` or
+#: ``lock_address`` of ``None``).  Every real address is non-negative.
+NO_ADDRESS = -1
+
+
+class TraceTokens:
+    """A dynamic trace as four parallel int64 columns over a static table.
+
+    ``tids[i]`` indexes ``insts`` (the static instruction of op ``i``);
+    ``addrs``/``locks`` hold its effective and lock address, or
+    :data:`NO_ADDRESS`; ``mis`` is 1 for a mispredicted branch.  The
+    synthetic generator writes these columns directly, with its static
+    shape table as ``insts``; :func:`repro.sim.compiled.tokenize` builds them
+    from any other :class:`DynamicOp` trace.
+
+    A token trace also reads as a sequence of :class:`DynamicOp`: iteration,
+    indexing and equality with a tuple or list of ops materialize them, for
+    the reference pipeline and for tests.
+    """
+
+    __slots__ = ("tids", "addrs", "locks", "mis", "insts")
+
+    def __init__(self, tids, addrs, locks, mis, insts):
+        self.tids = tids
+        self.addrs = addrs
+        self.locks = locks
+        self.mis = mis
+        #: One representative :class:`Instruction` per identity.
+        self.insts = insts
+
+    def __len__(self) -> int:
+        return len(self.tids)
+
+    def __iter__(self) -> Iterator[DynamicOp]:
+        insts = self.insts
+        for tid, address, lock, mis in zip(self.tids, self.addrs, self.locks,
+                                           self.mis):
+            yield DynamicOp(insts[tid],
+                            None if address == NO_ADDRESS else address,
+                            None if lock == NO_ADDRESS else lock,
+                            bool(mis))
+
+    def __getitem__(self, index):
+        """A slice as tokens (sharing ``insts``); one op as a DynamicOp."""
+        if isinstance(index, slice):
+            return TraceTokens(self.tids[index], self.addrs[index],
+                               self.locks[index], self.mis[index], self.insts)
+        index = range(len(self))[index]
+        return next(iter(self[index:index + 1]))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, TraceTokens):
+            if other.insts is self.insts:
+                return (self.tids == other.tids and self.addrs == other.addrs
+                        and self.locks == other.locks and self.mis == other.mis)
+        elif not isinstance(other, (tuple, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            mine == theirs for mine, theirs in zip(self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"TraceTokens({len(self)} ops)"
+
+
 @dataclass
 class TimedUop:
     """A µop annotated with the memory behaviour the timing model needs."""

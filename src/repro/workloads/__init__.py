@@ -3,10 +3,12 @@
 * :mod:`repro.workloads.profiles` — per-benchmark characteristics for the
   twenty C SPEC benchmarks the paper evaluates (§9.1),
 * :mod:`repro.workloads.state_core` — the generator's state-evolution core:
-  allocator-backed object set, RNG stream and locality cursors, evolvable in
-  bulk (the §9.1 fast-forward fast path; optional native kernel in
-  :mod:`repro.workloads._ffcore`),
-* :mod:`repro.workloads.synthetic` — the trace-emission layer on top of the
+  allocator-backed object set, RNG stream and locality cursors, and the one
+  event loop that emits token columns or, in §9.1 skip windows, only
+  advances (optional native kernel in :mod:`repro.workloads._ffcore`),
+* :mod:`repro.workloads.shapes` — the static instruction shapes the
+  generator emits, indexed by the token columns' shape ids,
+* :mod:`repro.workloads.synthetic` — the continuous-stream API on top of the
   core: the synthetic dynamic-trace generator driven by those profiles (the
   SPEC substitute, see DESIGN.md §1),
 * :mod:`repro.workloads.juliet` — generator for the 291 CWE-416/562

@@ -1,23 +1,32 @@
-"""Optional native kernel for the workload fast-forward loop.
+"""Optional native kernel for the workload emitter.
 
-The state-evolution core (:mod:`repro.workloads.state_core`) must advance a
-skip window's worth of events while keeping the Mersenne-Twister position
-bit-identical to what per-op generation would have drawn — which caps a pure
-Python loop at roughly a million events per second.  This module compiles a
-small C kernel (through the shared :mod:`repro.native.build` machinery: the
-system C compiler, at first use, cached on disk)
-that replicates CPython's MT19937 primitives — ``random()`` is two tempered
-words combined as ``genrand_res53`` and ``_randbelow(n)`` is
-``getrandbits(n.bit_length())`` with rejection — and runs the event-advance
-loop over the core's shared slot arrays at tens of millions of ops/sec.
+The state-evolution core (:mod:`repro.workloads.state_core`) must emit the
+generator's ops — or, in a §9.1 skip window, only advance past them — while
+keeping the Mersenne-Twister position bit-identical to the pure-Python
+emitter, which caps a Python loop at roughly a million ops per second.  This
+module compiles a small C kernel (through the shared
+:mod:`repro.native.build` machinery: the system C compiler, at first use,
+cached on disk) that replicates CPython's MT19937 primitives — ``random()``
+is two tempered words combined as ``genrand_res53`` and ``_randbelow(n)`` is
+``getrandbits(n.bit_length())`` with rejection — and runs the one event loop
+(``ff_emit``) over the core's shared slot arrays.
+
+Given output buffers, ``ff_emit`` writes each op as token columns — a
+:mod:`~repro.workloads.shapes` id, the address, the lock address and the
+misprediction flag — finishing the event that crosses the requested count
+(so up to ``MAX_EVENT_OPS - 1`` ops past it).  Given NULL buffers it only
+advances, whole events only, while at least ``MAX_EVENT_OPS`` ops remain:
+fast-forward is this same loop with the writes switched off.  Allocation
+events bounce back to Python after their draws: the caller applies the
+malloc/free against the real
+:class:`~repro.allocator.runtime.InstrumentedRuntime` and patches the lock of
+the event's GETIDENT/SETIDENT op.
 
 The kernel is strictly optional: when no compiler is available, compilation
 fails, the self-test disagrees with :mod:`random`, or ``REPRO_FFCORE=0`` is
-set, :func:`load` returns ``None`` and the core falls back to the pure-Python
-span loop.  Both paths are verified bit-identical by the golden fast-forward
-tests.  Allocator events are *not* handled in C: the kernel consumes their
-RNG draws, then returns control so Python applies the malloc/free effects
-against the real :class:`~repro.allocator.runtime.InstrumentedRuntime`.
+set, :func:`load` returns ``None`` and the core runs the pure-Python mirror
+of the loop.  Both are verified bit-identical, column for column, by the
+golden fast-forward tests.
 """
 
 from __future__ import annotations
@@ -28,6 +37,12 @@ from array import array
 from pathlib import Path
 
 from repro.native import build
+from repro.sim.trace import NO_ADDRESS
+from repro.workloads import shapes
+
+#: Upper bound on the dynamic ops a single event can produce (an allocation
+#: event that both frees and allocates: two 7-op runtime-call sequences).
+MAX_EVENT_OPS = 14
 
 #: ``scal`` slot layout shared with the C kernel (int64 in/out registers).
 SCAL_REMAINING = 0
@@ -40,14 +55,28 @@ SCAL_MTI = 6
 SCAL_REASON = 7
 SCAL_FREED_INDEX = 8
 SCAL_ALLOC_SIZE = 9
-SCAL_SLOTS = 12
+#: Ops written so far (the next write position in the output buffers).
+SCAL_POS = 10
+#: Buffer positions of a bounced allocation event's GETIDENT (-1 when the
+#: event freed nothing) and SETIDENT ops, whose locks Python patches.
+SCAL_GETIDENT_POS = 11
+SCAL_SETIDENT_POS = 12
+SCAL_SLOTS = 16
 
-#: ``ff_advance`` return/``SCAL_REASON`` codes.
+#: ``ff_emit`` return/``SCAL_REASON`` codes.
 REASON_DONE = 0
 REASON_ALLOC = 1
 
-_SOURCE = r"""
-/* Fast-forward kernel: exact replica of the WorkloadCore event-advance loop.
+_DEFINES = "".join(f"#define {name} {value}LL\n" for name, value in (
+    ("MAX_EVENT_OPS", MAX_EVENT_OPS), ("NO_ADDR", NO_ADDRESS),
+    ("SH_ALU_INT", shapes.SH_ALU_INT), ("SH_FADD", shapes.SH_FADD),
+    ("SH_BRANCH", shapes.SH_BRANCH), ("SH_ADDR_BUMP", shapes.SH_ADDR_BUMP),
+    ("SH_MEM", shapes.SH_MEM), ("SH_CALL", shapes.SH_CALL),
+    ("SH_RET", shapes.SH_RET), ("SH_GETIDENT", shapes.SH_GETIDENT),
+    ("SH_SETIDENT", shapes.SH_SETIDENT)))
+
+_SOURCE = _DEFINES + r"""
+/* Emit kernel: exact replica of the WorkloadCore event loop.
  *
  * MT19937 follows CPython's _randommodule.c: the 624-word state plus index
  * round-trips through random.Random.getstate()/setstate(), rnd() is
@@ -102,68 +131,100 @@ static int64_t randbelow(MT *st, int64_t n) {
     return (int64_t)r;
 }
 
-/* One _alu_op worth of draws (no emission): fp roll, then either three
- * fp-register picks or value-rotation + chain roll + opcode choice. */
-static int64_t alu(MT *st, double fp_compute, int64_t vr) {
+/* One ALU op: fp roll, then either three fp-register picks (FADD) or a
+ * value-register rotation, a dependent-chain roll and an opcode choice. */
+static int64_t alu(MT *st, double fp_compute, int64_t *vr) {
+    int64_t d, a, k;
+    int chain;
     if (rnd(st) < fp_compute) {
-        randbelow(st, 6); randbelow(st, 6); randbelow(st, 6);
-    } else {
-        vr = (vr + 1) % 6;
-        rnd(st);
-        randbelow(st, 6);
+        d = randbelow(st, 6);
+        a = randbelow(st, 6);
+        return SH_FADD + (d * 6 + a) * 6 + randbelow(st, 6);
     }
-    return vr;
+    *vr = (*vr + 1) % 6;
+    chain = rnd(st) < 0.35;
+    k = randbelow(st, 6);
+    return SH_ALU_INT + (*vr * 2 + chain) * 5 + (k < 2 ? 0 : k - 1);
 }
 
-/* _runtime_call_ops draws: six ALU ops plus the pointer-register pick. */
-static int64_t runtime_call(MT *st, double fp_compute, int64_t vr) {
-    int i;
-    for (i = 0; i < 6; i++)
-        vr = alu(st, fp_compute, vr);
-    randbelow(st, 6);
-    return vr;
-}
+/* Write one op (the shape expression is evaluated, and its draws taken,
+ * whether or not the op is written). */
+#define PUT(sh, ad, lk, ms) do {                                        \
+        int64_t sh_ = (sh);                                             \
+        if (emit) {                                                     \
+            o_shape[pos] = sh_; o_addr[pos] = (ad);                     \
+            o_lock[pos] = (lk); o_mis[pos] = (ms);                      \
+            pos++;                                                      \
+        }                                                               \
+        remaining--;                                                    \
+    } while (0)
 
-long long ff_advance(uint32_t *mtstate, long long *scal, const double *cd,
-                     const long long *ci, const long long *order,
-                     const long long *sizes, long long *cursors,
-                     const signed char *rich, long long *hot)
+/* The malloc/free runtime-call body: six ALU ops, then the ident op on a
+ * drawn pointer register (its lock is patched by the caller). */
+#define RUNTIME_CALL(ident_base, ident_pos) do {                        \
+        int i_;                                                         \
+        for (i_ = 0; i_ < 6; i_++)                                      \
+            PUT(alu(&st, fpc, &vr), NO_ADDR, NO_ADDR, 0);               \
+        ident_pos = pos;                                                \
+        PUT((ident_base) + randbelow(&st, 6), NO_ADDR, NO_ADDR, 0);     \
+    } while (0)
+
+/* The event loop.  ``emit`` is a compile-time constant in each of its two
+ * instantiations (see ff_emit), so the discard copy carries no writes and
+ * no address arithmetic — only the draws and state updates. */
+static inline __attribute__((always_inline)) long long event_loop(
+    uint32_t *mtstate, long long *scal, const double *cd,
+    const long long *ci, const long long *order, const long long *sizes,
+    long long *cursors, const signed char *rich, const long long *bases,
+    const long long *locks, long long *hot, long long *o_shape,
+    long long *o_addr, long long *o_lock, long long *o_mis, const int emit)
 {
     MT st = { mtstate, scal[6] };
     int64_t remaining = scal[0], vr = scal[1], gc = scal[2], depth = scal[3];
-    int64_t n_order = scal[4], hot_len = scal[5];
+    int64_t n_order = scal[4], hot_len = scal[5], pos = scal[10];
     const double alloc_p = cd[0], ac_hi = cd[1], mem_hi = cd[2], br_hi = cd[3];
     const double ptr_f = cd[4], word_f = cd[5], wordfp_f = cd[6], fpc = cd[7];
     const double temporal = cd[8], spatial = cd[9], global_frac = cd[10];
+    const double load_f = cd[11], mispredict = cd[12];
     const int64_t span_g = ci[0], span_p = ci[1], ws = ci[2];
     const int64_t min_keep = ci[3], size_low = ci[4], size_nslots = ci[5];
     const int64_t cold_pool = ci[6], hot_max = ci[7];  /* hot_max <= 15 */
+    const int64_t globals_base = ci[8], global_lock = ci[9];
+    /* Emitting: finish the event crossing the count.  Advancing only:
+     * whole events while no event can cross it. */
+    const int64_t floor = emit ? 1 : MAX_EVENT_OPS;
     int64_t reason = 0, freed_idx = -1, alloc_size = 0;
+    int64_t get_pos = -1, set_pos = -1;
 
-    while (remaining >= 14) {
+    while (remaining >= floor) {
         double roll = rnd(&st);
         if (roll >= br_hi) {                           /* ALU op */
-            vr = alu(&st, fpc, vr);
-            remaining -= 1;
+            PUT(alu(&st, fpc, &vr), NO_ADDR, NO_ADDR, 0);
         } else if (roll >= mem_hi) {                   /* branch */
-            rnd(&st);                                  /* mispredict roll */
+            int mis = rnd(&st) < mispredict;
             vr = (vr + 1) % 6;
-            remaining -= 1;
+            PUT(SH_BRANCH + vr, NO_ADDR, NO_ADDR, mis);
         } else if (roll >= ac_hi) {                    /* memory op */
             double roll2 = rnd(&st);
-            rnd(&st);                                  /* load/store split */
-            int ptr = roll2 < ptr_f;
-            int fp = !ptr && roll2 >= word_f && roll2 < wordfp_f;
-            int64_t nbytes = roll2 < wordfp_f ? 8 : 4;
+            int store = !(rnd(&st) < load_f);
+            int cls = roll2 < ptr_f ? 0 : roll2 < word_f ? 1
+                : roll2 < wordfp_f ? 2 : 3;
+            int64_t nbytes = cls == 3 ? 4 : 8, off = 0, addr, lock, ar, data;
             if (rnd(&st) < global_frac || n_order == 0) {  /* global target */
-                if (rnd(&st) < spatial)
+                int64_t span = cls == 0 ? span_p : span_g;
+                if (rnd(&st) < spatial) {
+                    if (emit)
+                        off = gc % span;
                     gc += nbytes;
-                else
-                    randbelow(&st, ptr ? span_p : span_g);
+                } else {
+                    off = randbelow(&st, span);
+                }
+                addr = globals_base + (off & ~(nbytes - 1));
+                lock = global_lock;
             } else {                                   /* heap target */
-                int64_t slot;
+                int64_t slot, size, limit;
                 if (hot_len > 0 && rnd(&st) < temporal) {
-                    if (ptr) {
+                    if (cls == 0) {
                         int64_t cnt = 0, tmp[16], i;
                         for (i = 0; i < hot_len; i++)
                             if (rich[hot[i]])
@@ -176,7 +237,7 @@ long long ff_advance(uint32_t *mtstate, long long *scal, const double *cd,
                 } else {
                     int64_t pool = n_order < cold_pool ? n_order : cold_pool;
                     int64_t start = n_order - pool;
-                    if (ptr) {
+                    if (cls == 0) {
                         int64_t cnt = 0, j;
                         for (j = start; j < n_order; j++)
                             if (rich[order[j]])
@@ -200,56 +261,72 @@ long long ff_advance(uint32_t *mtstate, long long *scal, const double *cd,
                         hot_len--;
                     }
                 }
-                {
-                    int64_t size = sizes[slot];
-                    int64_t limit = size - nbytes;
-                    if (limit < 1)
-                        limit = 1;
-                    if (rnd(&st) < spatial) {
-                        int64_t m = size > nbytes ? size : nbytes;
-                        cursors[slot] = (cursors[slot] + nbytes) % m;
-                    } else {
-                        randbelow(&st, limit);
-                    }
+                size = sizes[slot];
+                limit = size - nbytes;
+                if (limit < 1)
+                    limit = 1;
+                if (rnd(&st) < spatial) {
+                    int64_t m = size > nbytes ? size : nbytes;
+                    if (emit)
+                        off = cursors[slot] % limit;
+                    cursors[slot] = (cursors[slot] + nbytes) % m;
+                } else {
+                    off = randbelow(&st, limit);
                 }
+                addr = bases[slot] + (off & ~(nbytes - 1));
+                lock = locks[slot];
             }
-            randbelow(&st, 6);                         /* address register */
-            remaining -= rnd(&st) < 0.25 ? 2 : 1;      /* refresh ADD_RI */
-            if (fp)
-                randbelow(&st, 6);
-            else
-                vr = (vr + 1) % 6;
-        } else if (roll >= alloc_p) {                  /* call / return */
-            if (depth < 16) {
-                double r = rnd(&st);
-                if (r < 0.6) {
-                    depth++;
-                    remaining -= 1;
-                } else if (depth > 0) {
-                    depth--;
-                    remaining -= 1;
-                }
+            ar = randbelow(&st, 6);                    /* address register */
+            if (rnd(&st) < 0.25)                       /* pointer refresh */
+                PUT(SH_ADDR_BUMP + ar, NO_ADDR, NO_ADDR, 0);
+            if (cls == 2) {
+                data = randbelow(&st, 6);
             } else {
+                vr = (vr + 1) % 6;
+                data = vr;
+            }
+            PUT(SH_MEM + ((cls * 2 + store) * 6 + ar) * 6 + data, addr, lock, 0);
+        } else if (roll >= alloc_p) {                  /* call / return */
+            if (depth < 16 && rnd(&st) < 0.6) {
+                depth++;
+                PUT(SH_CALL, NO_ADDR, NO_ADDR, 0);
+            } else if (depth > 0) {
                 depth--;
-                remaining -= 1;
+                PUT(SH_RET, NO_ADDR, NO_ADDR, 0);
             }
         } else {                                       /* allocation event */
             if (n_order >= ws && n_order > min_keep) {
                 freed_idx = randbelow(&st, n_order);
-                vr = runtime_call(&st, fpc, vr);
-                remaining -= 7;
+                RUNTIME_CALL(SH_GETIDENT, get_pos);
             }
             alloc_size = size_low + 16 * randbelow(&st, size_nslots);
-            vr = runtime_call(&st, fpc, vr);
-            remaining -= 7;
+            RUNTIME_CALL(SH_SETIDENT, set_pos);
             reason = 1;  /* Python applies the malloc/free effects */
             break;
         }
     }
     scal[0] = remaining; scal[1] = vr; scal[2] = gc; scal[3] = depth;
     scal[5] = hot_len; scal[6] = st.mti; scal[7] = reason;
-    scal[8] = freed_idx; scal[9] = alloc_size;
+    scal[8] = freed_idx; scal[9] = alloc_size; scal[10] = pos;
+    scal[11] = get_pos; scal[12] = set_pos;
     return reason;
+}
+
+/* Emit into the four output columns, or only advance when they are NULL. */
+long long ff_emit(uint32_t *mtstate, long long *scal, const double *cd,
+                  const long long *ci, const long long *order,
+                  const long long *sizes, long long *cursors,
+                  const signed char *rich, const long long *bases,
+                  const long long *locks, long long *hot,
+                  long long *o_shape, long long *o_addr, long long *o_lock,
+                  long long *o_mis)
+{
+    if (o_shape)
+        return event_loop(mtstate, scal, cd, ci, order, sizes, cursors, rich,
+                          bases, locks, hot, o_shape, o_addr, o_lock, o_mis,
+                          1);
+    return event_loop(mtstate, scal, cd, ci, order, sizes, cursors, rich,
+                      bases, locks, hot, 0, 0, 0, 0, 0);
 }
 
 /* Draw-compatibility probe: 8 doubles then 8 bounded draws, so the loader
@@ -271,8 +348,8 @@ long long ff_selftest(uint32_t *mtstate, long long *mti_io, double *dout,
 
 def _bind(so_path: Path):
     lib = ctypes.CDLL(str(so_path))
-    lib.ff_advance.restype = ctypes.c_longlong
-    lib.ff_advance.argtypes = [ctypes.c_void_p] * 9
+    lib.ff_emit.restype = ctypes.c_longlong
+    lib.ff_emit.argtypes = [ctypes.c_void_p] * 15
     lib.ff_selftest.restype = ctypes.c_longlong
     lib.ff_selftest.argtypes = [ctypes.c_void_p] * 4
     return lib

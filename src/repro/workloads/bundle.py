@@ -18,22 +18,22 @@ from typing import Iterable, Iterator, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError
 from repro.sim.sampling import SamplingConfig
-from repro.sim.trace import DynamicOp
+from repro.sim.trace import TraceTokens
 from repro.workloads.profiles import BenchmarkProfile, profile_by_name
-from repro.workloads.synthetic import SyntheticWorkload
+from repro.workloads.synthetic import NO_OPS, SyntheticWorkload
 
-#: Instance attributes holding the lazily-built compiled-stream caches.
-#: They live outside the dataclass fields: equality, hashing and pickling of
-#: a bundle are defined by its trace content alone.
-_TOKEN_CACHE_ATTR = "_cc_tokens"
+#: Instance attribute holding the lazily-built compiled-stream cache.  It
+#: lives outside the dataclass fields: equality and pickling of a bundle are
+#: defined by its trace content alone.
 _STREAM_CACHE_ATTR = "_cc_streams"
+
 
 
 #: Largest horizon a bundle may materialize *unsampled* — whether because no
 #: sampling schedule was requested at all, or because a requested §9.1
 #: schedule measures nothing and would normalize to the unsampled layout
 #: (the right behaviour at test scale, a silent catastrophe at paper scale:
-#: the whole 100M-instruction horizon materialized as DynamicOps).  Past
+#: the whole 100M-instruction horizon materialized as token columns).  Past
 #: this bound both cases are errors pointing at a horizon-fitted schedule.
 MAX_NORMALIZED_UNSAMPLED_INSTRUCTIONS = 4_000_000
 
@@ -84,8 +84,8 @@ class SampleSegment:
     per-pipeline machinery.
     """
 
-    warmup: Tuple[DynamicOp, ...]
-    measured: Tuple[DynamicOp, ...]
+    warmup: TraceTokens
+    measured: TraceTokens
     working_set: WorkingSetSnapshot
 
 
@@ -98,9 +98,9 @@ class TraceBundle:
     instructions: int
     warmup_instructions: int
     #: The untimed stream that primes the cache hierarchy.
-    warmup: Tuple[DynamicOp, ...]
+    warmup: TraceTokens
     #: The measured stream the timing model replays.
-    measured: Tuple[DynamicOp, ...]
+    measured: TraceTokens
     #: Live working set at the warm-up/measure boundary.
     working_set: WorkingSetSnapshot
     #: The §9.1 schedule this bundle was segmented under, or ``None`` for a
@@ -165,10 +165,10 @@ class TraceBundle:
         if warmup_instructions is None:
             warmup_instructions = default_warmup_instructions(instructions)
         workload = SyntheticWorkload(profile, seed=seed)
-        warmup = tuple(workload.trace(warmup_instructions)) \
-            if warmup_instructions else ()
+        warmup = workload.trace(warmup_instructions) \
+            if warmup_instructions else NO_OPS
         snapshot = workload.snapshot_working_set()
-        measured = tuple(workload.trace(instructions))
+        measured = workload.trace(instructions)
         return cls(benchmark=profile.name, seed=seed, instructions=instructions,
                    warmup_instructions=warmup_instructions, warmup=warmup,
                    measured=measured, working_set=snapshot)
@@ -183,7 +183,7 @@ class TraceBundle:
         sample carries its own warm-up, measured stream and working set.
         """
         return cls(benchmark=benchmark, seed=seed, instructions=instructions,
-                   warmup_instructions=0, warmup=(), measured=(),
+                   warmup_instructions=0, warmup=NO_OPS, measured=NO_OPS,
                    working_set=WorkingSetSnapshot(lines=(), locks=()),
                    sampling=sampling, samples=tuple(samples))
 
@@ -205,9 +205,8 @@ class TraceBundle:
         :func:`repro.sim.compiled.stream_class_key`): sweep cells whose
         configurations inject the same µops — e.g. with and without the lock
         location cache — share one packed stream, one warm-up access
-        sequence and one working-set array set.  Tokenization (the
-        configuration-independent interning of the dynamic traces) happens
-        at most once per bundle (per sample, for sampled bundles).
+        sequence and one working-set array set.  The bundle's streams are
+        already token columns, so nothing is re-interned per configuration.
 
         Returns a :class:`repro.sim.compiled.BundleStreams`.
         """
@@ -248,16 +247,9 @@ class TraceBundle:
             return cached
 
         segment = self if index is None else self.samples[index]
-        tokens = self.__dict__.get(_TOKEN_CACHE_ATTR)
-        if tokens is None:
-            tokens = {}
-            object.__setattr__(self, _TOKEN_CACHE_ATTR, tokens)
-        segment_tokens = tokens.get(index)
-        if segment_tokens is None:
-            segment_tokens = tokens[index] = (
-                tokenize(segment.measured),
-                tokenize(segment.warmup) if segment.warmup else None)
-        measured_tokens, warm_tokens = segment_tokens
+        # The streams already are token columns; tokenize hands them back.
+        measured_tokens = tokenize(segment.measured)
+        warm_tokens = tokenize(segment.warmup) if segment.warmup else None
 
         compiler = StreamCompiler(config, machine)
         built = BundleStreams(
@@ -270,21 +262,16 @@ class TraceBundle:
         return built
 
     def footprint_ops(self) -> int:
-        """The bundle's pinned memory, in dynamic-op equivalents.
+        """The bundle's pinned memory, in int64 slots (8 bytes each).
 
         What the engine's per-process memo of unsampled bundles budgets
-        against: the raw trace streams, the working-set snapshot, and the
-        lazily-built token and compiled-stream caches this instance currently
-        pins, which for a compiled replay dwarf the traces themselves.
+        against: the raw trace streams (four int64 token columns per op),
+        the working-set snapshot, and the lazily-built compiled-stream cache
+        this instance currently pins, which for a compiled replay dwarfs the
+        traces themselves.
         """
-        ops = len(self.measured) + len(self.warmup) \
+        ops = 4 * (len(self.measured) + len(self.warmup)) \
             + len(self.working_set.lines) + len(self.working_set.locks)
-        tokens = self.__dict__.get(_TOKEN_CACHE_ATTR)
-        if tokens:
-            for measured_tokens, warm_tokens in tokens.values():
-                ops += len(measured_tokens)
-                if warm_tokens is not None:
-                    ops += len(warm_tokens)
         streams = self.__dict__.get(_STREAM_CACHE_ATTR)
         if streams:
             for built in streams.values():
@@ -312,7 +299,7 @@ class TraceBundle:
     def __getstate__(self):
         """Pickle only the trace content, never the compiled caches."""
         return {key: value for key, value in self.__dict__.items()
-                if key not in (_TOKEN_CACHE_ATTR, _STREAM_CACHE_ATTR)}
+                if key != _STREAM_CACHE_ATTR}
 
     def __setstate__(self, state):
         self.__dict__.update(state)

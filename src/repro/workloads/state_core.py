@@ -1,31 +1,34 @@
-"""State-evolution core of the synthetic workload generator.
+"""State-evolution core of the synthetic workload generator: the emitter.
 
-:class:`WorkloadCore` owns everything about a workload that *evolves*: the
-RNG stream, the allocator-backed live-object set (slot arrays shared with the
-optional native kernel), the hot/cold working-set structure, locality
-cursors, and the call-depth / register-rotation bookkeeping.  It knows
-nothing about :class:`~repro.sim.trace.DynamicOp` — materializing
-instructions is the trace-emission layer's job
-(:class:`~repro.workloads.synthetic.SyntheticWorkload`).
+:class:`WorkloadCore` owns everything about a workload that *evolves* — the
+RNG stream, the allocator-backed live-object set (slot arrays shared with
+the optional native kernel), the hot/cold working-set structure, locality
+cursors, and the call-depth / register-rotation bookkeeping — and the one
+event loop that evolves it.  The loop writes each op it produces as token
+columns (a :mod:`~repro.workloads.shapes` id, address, lock address and
+misprediction flag; see :class:`~repro.sim.trace.TraceTokens`), or, in
+*discard* mode, advances the state without writing anything: a §9.1 skip
+window is emission with the writes switched off, so its RNG draws,
+allocator traffic and cursor moves are the emitted stream's by
+construction.
 
-The split exists for one reason: §9.1 sampled simulation at paper scale
-spends >95% of the horizon inside fast-forward windows, where the functional
-state must advance but no trace may be kept.  :meth:`advance_bulk` walks
-whole events — identical RNG draws, identical allocator/cursor/hot-set
-effects — without constructing a single instruction object, via the compiled
-kernel (:mod:`repro.workloads._ffcore`) when available or an equivalent
-pure-Python loop otherwise.  Both are verified bit-identical to draining the
-emission layer by the golden fast-forward tests.
+The loop exists twice, once per language: the compiled kernel
+(:mod:`repro.workloads._ffcore`, ``ff_emit``) when available, and
+:meth:`WorkloadCore._emit_span_py`, its draw-for-draw pure-Python mirror,
+otherwise.  Both are verified column-for-column identical by the golden
+fast-forward tests.  The stream-level API on top (pending split events,
+``emit``/``fast_forward``/``generate``) is
+:class:`~repro.workloads.synthetic.SyntheticWorkload`'s.
 
 Object storage is *slot based*: every allocation gets a monotonically
-increasing slot id addressing append-only parallel arrays (size, locality
-cursor, pointer-richness, lock location, allocation record).  ``_order``
-lists the live slots in insertion order (the cold-pool window is its tail),
-``_hot`` is the recently-touched slot list.  Slots are never reused, so a
-freed slot that lingers in the hot set (the generator's deliberate
-stale-reference behaviour) keeps addressing its frozen size/cursor data —
-exactly the semantics the original object-based generator had — while the C
-kernel sees plain int64/int8 arrays it can index directly.
+increasing slot id addressing append-only parallel arrays (size, base
+address, locality cursor, pointer-richness, lock location, allocation
+record).  ``_order`` lists the live slots in insertion order (the cold-pool
+window is its tail), ``_hot`` is the recently-touched slot list.  Slots are
+never reused, so a freed slot that lingers in the hot set (the generator's
+deliberate stale-reference behaviour) keeps addressing its frozen
+base/size/cursor data, while the C kernel sees plain int64/int8 arrays it
+can index directly.
 """
 
 from __future__ import annotations
@@ -33,28 +36,34 @@ from __future__ import annotations
 import random
 import zlib
 from array import array
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Optional
 
 from repro.allocator.runtime import AllocationRecord, InstrumentedRuntime
 from repro.core.identifier import IdentifierTable
 from repro.memory.address_space import AddressSpace
+from repro.sim.trace import NO_ADDRESS
 from repro.workloads import _ffcore
+from repro.workloads._ffcore import MAX_EVENT_OPS
 from repro.workloads.profiles import BenchmarkProfile
+from repro.workloads.shapes import (
+    SH_ADDR_BUMP,
+    SH_ALU_INT,
+    SH_BRANCH,
+    SH_CALL,
+    SH_FADD,
+    SH_GETIDENT,
+    SH_MEM,
+    SH_RET,
+    SH_SETIDENT,
+)
 
-#: Upper bound on the dynamic ops a single event can produce (an allocation
-#: event that both frees and allocates: two 7-op runtime-call sequences).
-#: ``advance_bulk`` only advances whole events while at least this many ops
-#: remain, so it never overruns a window boundary.
-MAX_EVENT_OPS = 14
-
-# The bulk-advance loops draw ``randbelow(6)`` for register picks, value-
-# rotation and ALU-opcode choices: 6 is structural — the sizes of the
-# emission layer's ADDRESS_REGS/VALUE_REGS/FP_REGS tuples and _ALU_OPCODES —
-# not a tunable, so it stays literal in both span implementations.
+# The loops draw ``randbelow(6)`` for register picks, value-rotation and
+# ALU-opcode choices: 6 is structural (shapes.NREGS, the register tuples'
+# size), not a tunable, so it stays literal in both implementations.
 
 
 class WorkloadCore:
-    """Functional state of one synthetic workload, evolvable in bulk."""
+    """Functional state of one synthetic workload, and its emitter."""
 
     #: Fraction of memory accesses directed at the global segment (always
     #: valid global identifier, §7) rather than heap objects.
@@ -70,7 +79,7 @@ class WorkloadCore:
     #: Retired (freed, unreferenced) slots tolerated in the append-only slot
     #: arrays before they are compacted.  Slots are never reused, so over a
     #: billion-instruction horizon the arrays would otherwise grow with every
-    #: allocation ever made (~26 bytes/slot) even though only the live working
+    #: allocation ever made (~33 bytes/slot) even though only the live working
     #: set is reachable; compaction keeps the generator side flat too.
     COMPACT_RETIRED_SLOTS = 1_000_000
 
@@ -90,16 +99,14 @@ class WorkloadCore:
 
         # Slot-based object storage (append-only; slots are never reused).
         self._slot_sizes = array("q")
+        self._slot_bases = array("q")
         self._slot_cursors = array("q")
         self._slot_rich = array("b")
         self._slot_locks = array("q")
-        self._slot_live = array("b")
+        #: Allocation records of live slots (``None`` once freed).
         self._slot_records: List[Optional[AllocationRecord]] = []
         self._order = array("q")
         self._hot: List[int] = []
-        #: Freed slots whose records are kept alive because a duplicate hot
-        #: entry still references them (the stale-pointer quirk).
-        self._stale_kept: Set[int] = set()
 
         self._global_lock = self.identifiers.global_identifier().lock
         self._global_cursor = 0
@@ -123,7 +130,9 @@ class WorkloadCore:
         self._min_keep = max(4, profile.working_set_objects // 4)
 
         self._attach_ffcore()
-        self._populate_working_set()
+        for _ in range(profile.working_set_objects):
+            self._materialize_allocation(
+                self._size_low + 16 * self._randbelow(self._size_nslots))
 
     def _attach_ffcore(self) -> None:
         """Load the native kernel and build its shared constant buffers.
@@ -131,7 +140,7 @@ class WorkloadCore:
         Called from ``__init__`` and again from ``__setstate__`` (the kernel
         handle and buffers are not picklable).  The kernel's in-place hot
         buffer holds 16 slots, so hot sets beyond 15 entries (no in-tree
-        workload comes close) fall back to the pure-Python span loop.
+        workload comes close) fall back to the pure-Python loop.
         """
         profile = self.profile
         self._ffcore = _ffcore.load() if self.HOT_SET_OBJECTS <= 15 else None
@@ -145,12 +154,14 @@ class WorkloadCore:
             profile.word_integer_fraction,
             profile.word_integer_fraction + profile.fp_access_fraction,
             profile.fp_compute_fraction, profile.temporal_locality,
-            profile.spatial_locality, self.GLOBAL_ACCESS_FRACTION])
+            profile.spatial_locality, self.GLOBAL_ACCESS_FRACTION,
+            profile.load_fraction, profile.mispredict_rate])
         self._c_consts_i = array("q", [
             self._global_span, self._global_ptr_span,
             profile.working_set_objects, self._min_keep,
             self._size_low, self._size_nslots,
-            self.COLD_POOL_OBJECTS, self.HOT_SET_OBJECTS])
+            self.COLD_POOL_OBJECTS, self.HOT_SET_OBJECTS,
+            self._globals_base, self._global_lock])
 
     # -- pickling (the native kernel handle and bound method don't travel) ----------
     def __getstate__(self):
@@ -166,15 +177,6 @@ class WorkloadCore:
         self._attach_ffcore()
 
     # -- working set ----------------------------------------------------------------
-    def _allocation_size(self) -> int:
-        # Exactly rng.randrange(low, high + 1, 16): width -> slot count ->
-        # _randbelow; the result is never 0 because low >= 16.
-        return self._size_low + 16 * self._randbelow(self._size_nslots)
-
-    def _populate_working_set(self) -> None:
-        for _ in range(self.profile.working_set_objects):
-            self._allocate_object()
-
     def _materialize_allocation(self, size: int) -> int:
         """malloc ``size`` bytes and register the new slot (no RNG draws)."""
         if len(self._slot_sizes) - len(self._order) >= self.COMPACT_RETIRED_SLOTS:
@@ -185,187 +187,94 @@ class WorkloadCore:
         self._allocation_counter += 1
         slot = len(self._slot_sizes)
         self._slot_sizes.append(record.size)
+        self._slot_bases.append(record.base)
         self._slot_cursors.append(0)
         # Whether this object is part of a pointer-rich data structure
         # (linked structures, pointer arrays).  Pointer loads/stores are
         # directed at these objects; plain data accesses go anywhere.
         self._slot_rich.append(1 if self._allocation_counter % 4 == 0 else 0)
         self._slot_locks.append(metadata.identifier.lock)
-        self._slot_live.append(1)
         self._slot_records.append(record)
         self._order.append(slot)
         self._hot.append(slot)
         if len(self._hot) > self.HOT_SET_OBJECTS:
-            self._evict_hot()
+            del self._hot[0]
         return slot
-
-    def _allocate_object(self) -> int:
-        return self._materialize_allocation(self._allocation_size())
 
     def _compact_slots(self) -> None:
         """Renumber reachable slots densely, dropping retired array entries.
 
-        Reachable means: live (in ``_order``), in the hot set (possibly freed
-        but still addressable — the stale-reference quirk), or stale-kept.
-        No RNG draws and no allocator traffic happen here, and slot *ids*
-        never feed a draw or an address, so compaction is invisible to the
+        Reachable means live (in ``_order``) or in the hot set (possibly
+        freed but still addressable — the stale-reference quirk).  No RNG
+        draws and no allocator traffic happen here, and slot *ids* never
+        feed a draw or an address, so compaction is invisible to the
         emitted trace — pinned by the golden compaction tests.
 
-        Every structure is mutated **in place**: ``_advance_span_py`` binds
-        the size/cursor/rich/order/hot structures as locals for its whole
-        span, so replacing the objects (rather than their contents) would
-        desynchronize a compaction triggered mid-span.  (The native span
-        loop re-fetches buffer addresses around every allocator bounce, so
+        Every structure is mutated **in place**: ``_emit_span_py`` binds the
+        slot arrays, order and hot list as locals for its whole span, so
+        replacing the objects (rather than their contents) would
+        desynchronize a compaction triggered mid-span.  (The native driver
+        re-fetches buffer addresses around every allocator bounce, so
         in-place slice assignment is safe there too.)
         """
-        keep = sorted(set(self._order) | set(self._hot) | self._stale_kept)
+        keep = sorted(set(self._order) | set(self._hot))
         remap = {old: new for new, old in enumerate(keep)}
-        self._slot_sizes[:] = array("q", (self._slot_sizes[s] for s in keep))
-        self._slot_cursors[:] = array("q", (self._slot_cursors[s] for s in keep))
-        self._slot_rich[:] = array("b", (self._slot_rich[s] for s in keep))
-        self._slot_locks[:] = array("q", (self._slot_locks[s] for s in keep))
-        self._slot_live[:] = array("b", (self._slot_live[s] for s in keep))
+        for column in (self._slot_sizes, self._slot_bases, self._slot_cursors,
+                       self._slot_rich, self._slot_locks):
+            column[:] = array(column.typecode, (column[s] for s in keep))
         self._slot_records[:] = [self._slot_records[s] for s in keep]
         self._order[:] = array("q", (remap[s] for s in self._order))
         self._hot[:] = [remap[s] for s in self._hot]
-        self._stale_kept = {remap[s] for s in self._stale_kept}
 
     def _free_slot(self, index: int) -> int:
         """Free the live object at ``_order[index]`` (no RNG draws)."""
-        if self._stale_kept:
-            self._sweep_stale_records()
         order = self._order
         slot = order[index]
         del order[index]
         hot = self._hot
         if slot in hot:
             hot.remove(slot)  # first occurrence only, like list.remove(obj)
-        self._slot_live[slot] = 0
         record = self._slot_records[slot]
+        self._slot_records[slot] = None
         self.runtime.free(record.base, record.metadata)
-        if slot in hot:
-            # A duplicate hot entry still points at the freed object; keep
-            # its record so emission can keep addressing the stale memory,
-            # exactly as the object-based generator did.
-            self._stale_kept.add(slot)
-        else:
-            self._slot_records[slot] = None
         return slot
 
-    def _free_random_object(self) -> Optional[int]:
-        if len(self._order) <= self._min_keep:
-            return None
-        return self._free_slot(self._randbelow(len(self._order)))
+    # -- the event loop ---------------------------------------------------------------
+    def _emit_span(self, remaining: int, cols: Optional[list]) -> int:
+        """Run the event loop over the next ``remaining`` ops.
 
-    def _evict_hot(self) -> None:
-        evicted = self._hot.pop(0)
-        if not self._slot_live[evicted] and evicted not in self._hot:
-            self._slot_records[evicted] = None
-            self._stale_kept.discard(evicted)
-
-    def _sweep_stale_records(self) -> None:
-        """Drop records of stale slots that have since left the hot set."""
-        hot = self._hot
-        for slot in [s for s in self._stale_kept if s not in hot]:
-            self._slot_records[slot] = None
-            self._stale_kept.discard(slot)
-
-    # -- memory target selection ------------------------------------------------------
-    def _pick_slot(self, pointer_access: bool = False) -> int:
-        hot = self._hot
-        rich = self._slot_rich
-        if hot and self.rng.random() < self.profile.temporal_locality:
-            candidates: List[int] = hot
-            if pointer_access:
-                rich_slots = [slot for slot in hot if rich[slot]]
-                candidates = rich_slots or hot
-            return candidates[self._randbelow(len(candidates))]
-        # Cold accesses stay within a bounded, slowly-drifting pool of recent
-        # objects (program phases) rather than the entire population.
-        order = self._order
-        n = len(order)
-        pool = n if n < self.COLD_POOL_OBJECTS else self.COLD_POOL_OBJECTS
-        start = n - pool
-        if pointer_access:
-            rich_slots = [slot for slot in order[start:] if rich[slot]]
-            slot = rich_slots[self._randbelow(len(rich_slots))] if rich_slots \
-                else order[start + self._randbelow(pool)]
-        else:
-            slot = order[start + self._randbelow(pool)]
-        hot.append(slot)
-        if len(hot) > self.HOT_SET_OBJECTS:
-            self._evict_hot()
-        return slot
-
-    def _heap_target(self, access_bytes: int, pointer_access: bool) -> Tuple[int, int]:
-        """Return (address, lock_address) for a heap access."""
-        slot = self._pick_slot(pointer_access)
-        size = self._slot_sizes[slot]
-        limit = size - access_bytes
-        if limit < 1:
-            limit = 1
-        cursors = self._slot_cursors
-        if self.rng.random() < self.profile.spatial_locality:
-            offset = cursors[slot] % limit
-            bound = size if size > access_bytes else access_bytes
-            cursors[slot] = (cursors[slot] + access_bytes) % bound
-        else:
-            offset = self._randbelow(limit)
-        offset &= ~(access_bytes - 1)
-        return self._slot_records[slot].base + offset, self._slot_locks[slot]
-
-    def _global_target(self, access_bytes: int, pointer_access: bool) -> Tuple[int, int]:
-        # Global pointers (tables of pointers, static linked structures)
-        # live in a compact region of the data segment.
-        span = self._global_ptr_span if pointer_access else self._global_span
-        if self.rng.random() < self.profile.spatial_locality:
-            offset = self._global_cursor % span
-            self._global_cursor += access_bytes
-        else:
-            offset = self._randbelow(span)
-        offset &= ~(access_bytes - 1)
-        return self._globals_base + offset, self._global_lock
-
-    def _memory_target(self, access_bytes: int,
-                       pointer_access: bool = False) -> Tuple[int, int]:
-        if self.rng.random() < self.GLOBAL_ACCESS_FRACTION or not self._order:
-            return self._global_target(access_bytes, pointer_access)
-        return self._heap_target(access_bytes, pointer_access)
-
-    # -- bulk state evolution ----------------------------------------------------------
-    def advance_bulk(self, remaining: int) -> int:
-        """Advance whole events without emitting, while ``>= MAX_EVENT_OPS``
-        ops remain; returns the unconsumed remainder (< MAX_EVENT_OPS).
-
-        The RNG stream, allocator state, working set and every cursor end up
-        exactly where draining the emission layer would have left them; only
-        the ops themselves are never materialized.  The caller (the emission
-        layer's ``fast_forward``) finishes the tail with materialized events
-        so a window boundary can split an event.
+        With ``cols`` (four ``array("q")`` columns: shape, address, lock,
+        misprediction) every op is appended, and the event crossing the
+        count is finished, so up to ``MAX_EVENT_OPS - 1`` ops past it land
+        too.  With ``cols=None`` (discard mode) the loop only advances,
+        whole events only, while ``>= MAX_EVENT_OPS`` ops remain.  Returns
+        the unconsumed remainder: ``<= 0`` after emitting (minus the
+        overrun), ``< MAX_EVENT_OPS`` after discarding.
         """
-        if remaining < MAX_EVENT_OPS:
-            return remaining
         if self._ffcore is not None:
-            return self._advance_span_c(remaining)
-        return self._advance_span_py(remaining)
+            return self._emit_span_c(remaining, cols)
+        return self._emit_span_py(remaining, cols)
 
-    def _apply_alloc_event(self, freed_index: int, size: int) -> None:
-        """Apply an allocation event's effects (draws already consumed)."""
-        if freed_index >= 0:
-            self._free_slot(freed_index)
-        self._materialize_allocation(size)
-
-    def _advance_span_c(self, remaining: int) -> int:
+    def _emit_span_c(self, remaining: int, cols: Optional[list]) -> int:
         """Drive the native kernel, bouncing out for allocator events."""
-        advance = self._ffcore.ff_advance
+        emit = self._ffcore.ff_emit
         scal = self._c_scalars
         hotbuf = self._c_hot
         state = self.rng.getstate()
         mt = array("I", state[1][:624])
         mt_addr = mt.buffer_info()[0]
         scal[_ffcore.SCAL_MTI] = state[1][624]
+        scal[_ffcore.SCAL_POS] = 0
         consts_d = self._c_consts_d.buffer_info()[0]
         consts_i = self._c_consts_i.buffer_info()[0]
+        if cols is None:
+            out = (None,) * 4
+        else:
+            start = len(cols[0])
+            pad = bytes(8 * (remaining + MAX_EVENT_OPS - 1))
+            for column in cols:
+                column.frombytes(pad)
+            out = tuple(column.buffer_info()[0] + 8 * start for column in cols)
         while True:
             hot = self._hot
             for i, slot in enumerate(hot):
@@ -376,12 +285,14 @@ class WorkloadCore:
             scal[_ffcore.SCAL_CALL_DEPTH] = self._call_depth
             scal[_ffcore.SCAL_N_ORDER] = len(self._order)
             scal[_ffcore.SCAL_HOT_LEN] = len(hot)
-            advance(mt_addr, scal.buffer_info()[0], consts_d, consts_i,
-                    self._order.buffer_info()[0],
-                    self._slot_sizes.buffer_info()[0],
-                    self._slot_cursors.buffer_info()[0],
-                    self._slot_rich.buffer_info()[0],
-                    hotbuf.buffer_info()[0])
+            emit(mt_addr, scal.buffer_info()[0], consts_d, consts_i,
+                 self._order.buffer_info()[0],
+                 self._slot_sizes.buffer_info()[0],
+                 self._slot_cursors.buffer_info()[0],
+                 self._slot_rich.buffer_info()[0],
+                 self._slot_bases.buffer_info()[0],
+                 self._slot_locks.buffer_info()[0],
+                 hotbuf.buffer_info()[0], *out)
             remaining = scal[_ffcore.SCAL_REMAINING]
             self._value_rotation = scal[_ffcore.SCAL_VALUE_ROTATION]
             self._global_cursor = scal[_ffcore.SCAL_GLOBAL_CURSOR]
@@ -389,20 +300,31 @@ class WorkloadCore:
             self._hot = list(hotbuf[:scal[_ffcore.SCAL_HOT_LEN]])
             if scal[_ffcore.SCAL_REASON] != _ffcore.REASON_ALLOC:
                 break
-            self._apply_alloc_event(scal[_ffcore.SCAL_FREED_INDEX],
-                                    scal[_ffcore.SCAL_ALLOC_SIZE])
+            # The kernel drew the event; apply its allocator effects and
+            # give its ident ops the locks malloc/free just decided.
+            locks = None if cols is None else cols[2]
+            if scal[_ffcore.SCAL_FREED_INDEX] >= 0:
+                slot = self._free_slot(scal[_ffcore.SCAL_FREED_INDEX])
+                if locks is not None:
+                    locks[start + scal[_ffcore.SCAL_GETIDENT_POS]] = \
+                        self._slot_locks[slot]
+            slot = self._materialize_allocation(scal[_ffcore.SCAL_ALLOC_SIZE])
+            if locks is not None:
+                locks[start + scal[_ffcore.SCAL_SETIDENT_POS]] = \
+                    self._slot_locks[slot]
         self.rng.setstate((state[0], tuple(mt) + (scal[_ffcore.SCAL_MTI],),
                            state[2]))
-        if self._stale_kept:
-            self._sweep_stale_records()
+        if cols is not None:
+            end = start + scal[_ffcore.SCAL_POS]
+            for column in cols:
+                del column[end:]
         return remaining
 
-    def _advance_span_py(self, remaining: int) -> int:
-        """Pure-Python whole-event advance (the no-compiler fallback).
+    def _emit_span_py(self, remaining: int, cols: Optional[list]) -> int:
+        """Pure-Python mirror of ``ff_emit`` (the no-compiler fallback).
 
-        Draw-for-draw and effect-for-effect identical to draining the
-        emission layer; every helper call is inlined onto locals because
-        this loop runs once per skipped instruction.
+        Draw-for-draw and column-for-column identical to the kernel; every
+        helper is inlined onto locals because this loop runs once per op.
         """
         rng_random = self.rng.random
         randbelow = self._randbelow
@@ -417,52 +339,104 @@ class WorkloadCore:
         fpc = profile.fp_compute_fraction
         temporal = profile.temporal_locality
         spatial = profile.spatial_locality
+        load_f = profile.load_fraction
+        mispredict = profile.mispredict_rate
         global_frac = self.GLOBAL_ACCESS_FRACTION
         cold_pool = self.COLD_POOL_OBJECTS
         hot_max = self.HOT_SET_OBJECTS
         span_g = self._global_span
         span_p = self._global_ptr_span
+        globals_base = self._globals_base
+        global_lock = self._global_lock
         ws = profile.working_set_objects
         min_keep = self._min_keep
         size_low = self._size_low
         size_nslots = self._size_nslots
         sizes = self._slot_sizes
+        bases = self._slot_bases
         cursors = self._slot_cursors
         rich = self._slot_rich
+        locks = self._slot_locks
         order = self._order
         hot = self._hot
         vr = self._value_rotation
         depth = self._call_depth
         gc = self._global_cursor
+        sh_alu, sh_fadd, sh_branch = SH_ALU_INT, SH_FADD, SH_BRANCH
+        sh_bump, sh_mem = SH_ADDR_BUMP, SH_MEM
+        emit = cols is not None
+        if emit:
+            shapes, addrs, op_locks, mis = cols
+            put_shape = shapes.append
+            put_addr = addrs.append
+            put_lock = op_locks.append
+            put_mis = mis.append
+        floor = 1 if emit else MAX_EVENT_OPS
 
-        while remaining >= MAX_EVENT_OPS:
+        def runtime_call(vr, ident_base, lock):
+            """Six ALU ops, then the ident op on a drawn pointer register."""
+            for _ in range(6):
+                if rng_random() < fpc:
+                    shape = SH_FADD + (randbelow(6) * 6 + randbelow(6)) * 6 \
+                        + randbelow(6)
+                else:
+                    vr = (vr + 1) % 6
+                    chain = 1 if rng_random() < 0.35 else 0
+                    k = randbelow(6)
+                    shape = SH_ALU_INT + (vr * 2 + chain) * 5 \
+                        + (k - 1 if k > 1 else 0)
+                if emit:
+                    put_shape(shape); put_addr(NO_ADDRESS)
+                    put_lock(NO_ADDRESS); put_mis(0)
+            shape = ident_base + randbelow(6)
+            if emit:
+                put_shape(shape); put_addr(NO_ADDRESS)
+                put_lock(lock); put_mis(0)
+            return vr
+
+        while remaining >= floor:
             roll = rng_random()
             if roll >= br_hi:  # ALU op
                 if rng_random() < fpc:
-                    randbelow(6); randbelow(6); randbelow(6)
+                    shape = sh_fadd + (randbelow(6) * 6 + randbelow(6)) * 6 \
+                        + randbelow(6)
                 else:
                     vr = (vr + 1) % 6
-                    rng_random()  # dependent-chain roll
-                    randbelow(6)  # opcode choice
+                    chain = 1 if rng_random() < 0.35 else 0
+                    k = randbelow(6)
+                    shape = sh_alu + (vr * 2 + chain) * 5 \
+                        + (k - 1 if k > 1 else 0)
+                if emit:
+                    put_shape(shape); put_addr(NO_ADDRESS)
+                    put_lock(NO_ADDRESS); put_mis(0)
                 remaining -= 1
             elif roll >= mem_hi:  # branch
-                rng_random()  # mispredict roll
+                flag = 1 if rng_random() < mispredict else 0
                 vr = (vr + 1) % 6
+                if emit:
+                    put_shape(sh_branch + vr); put_addr(NO_ADDRESS)
+                    put_lock(NO_ADDRESS); put_mis(flag)
                 remaining -= 1
             elif roll >= ac_hi:  # memory op
                 roll2 = rng_random()
-                rng_random()  # load/store split: no functional effect
-                ptr = roll2 < ptr_f
-                fp = (not ptr) and word_f <= roll2 < wordfp_f
-                nbytes = 8 if roll2 < wordfp_f else 4
+                store = 0 if rng_random() < load_f else 1
+                cls = 0 if roll2 < ptr_f else 1 if roll2 < word_f \
+                    else 2 if roll2 < wordfp_f else 3
+                nbytes = 4 if cls == 3 else 8
+                offset = 0
                 if rng_random() < global_frac or not order:
+                    span = span_p if cls == 0 else span_g
                     if rng_random() < spatial:
+                        offset = gc % span
                         gc += nbytes
                     else:
-                        randbelow(span_p if ptr else span_g)
+                        offset = randbelow(span)
+                    if emit:
+                        address = globals_base + (offset & -nbytes)
+                        lock = global_lock
                 else:
                     if hot and rng_random() < temporal:
-                        if ptr:
+                        if cls == 0:
                             cands = [s for s in hot if rich[s]] or hot
                         else:
                             cands = hot
@@ -471,7 +445,7 @@ class WorkloadCore:
                         n = len(order)
                         pool = n if n < cold_pool else cold_pool
                         start = n - pool
-                        if ptr:
+                        if cls == 0:
                             cands = [s for s in order[start:] if rich[s]]
                             slot = cands[randbelow(len(cands))] if cands \
                                 else order[start + randbelow(pool)]
@@ -479,65 +453,63 @@ class WorkloadCore:
                             slot = order[start + randbelow(pool)]
                         hot.append(slot)
                         if len(hot) > hot_max:
-                            del hot[0]  # record sweep deferred to _free_slot
+                            del hot[0]
                     size = sizes[slot]
                     limit = size - nbytes
                     if limit < 1:
                         limit = 1
                     if rng_random() < spatial:
+                        offset = cursors[slot] % limit
                         bound = size if size > nbytes else nbytes
                         cursors[slot] = (cursors[slot] + nbytes) % bound
                     else:
-                        randbelow(limit)
-                randbelow(6)  # address register
-                remaining -= 2 if rng_random() < 0.25 else 1
-                if fp:
-                    randbelow(6)
+                        offset = randbelow(limit)
+                    if emit:
+                        address = bases[slot] + (offset & -nbytes)
+                        lock = locks[slot]
+                ar = randbelow(6)  # address register
+                if rng_random() < 0.25:  # pointer refresh
+                    if emit:
+                        put_shape(sh_bump + ar); put_addr(NO_ADDRESS)
+                        put_lock(NO_ADDRESS); put_mis(0)
+                    remaining -= 1
+                if cls == 2:
+                    data = randbelow(6)
                 else:
                     vr = (vr + 1) % 6
+                    data = vr
+                if emit:
+                    put_shape(sh_mem + ((cls * 2 + store) * 6 + ar) * 6 + data)
+                    put_addr(address); put_lock(lock); put_mis(0)
+                remaining -= 1
             elif roll >= alloc_p:  # call / return
-                if depth < 16:
-                    r = rng_random()
-                    if r < 0.6:
-                        depth += 1
-                        remaining -= 1
-                    elif depth > 0:
-                        depth -= 1
-                        remaining -= 1
-                else:
+                if depth < 16 and rng_random() < 0.6:
+                    depth += 1
+                    shape = SH_CALL
+                elif depth > 0:
                     depth -= 1
-                    remaining -= 1
+                    shape = SH_RET
+                else:
+                    continue
+                if emit:
+                    put_shape(shape); put_addr(NO_ADDRESS)
+                    put_lock(NO_ADDRESS); put_mis(0)
+                remaining -= 1
             else:  # allocation event
                 n = len(order)
                 if n >= ws and n > min_keep:
-                    self._free_slot(randbelow(n))
-                    vr = self._advance_runtime_call(vr)
+                    slot = self._free_slot(randbelow(n))
+                    vr = runtime_call(vr, SH_GETIDENT, locks[slot])
                     remaining -= 7
-                self._materialize_allocation(size_low + 16 * randbelow(size_nslots))
-                vr = self._advance_runtime_call(vr)
+                slot = self._materialize_allocation(
+                    size_low + 16 * randbelow(size_nslots))
+                vr = runtime_call(vr, SH_SETIDENT, locks[slot])
                 remaining -= 7
 
         self._value_rotation = vr
         self._call_depth = depth
         self._global_cursor = gc
-        if self._stale_kept:
-            self._sweep_stale_records()
         return remaining
-
-    def _advance_runtime_call(self, vr: int) -> int:
-        """Draws of one ``_runtime_call_ops`` sequence (6 ALU + reg pick)."""
-        rng_random = self.rng.random
-        randbelow = self._randbelow
-        fpc = self.profile.fp_compute_fraction
-        for _ in range(6):
-            if rng_random() < fpc:
-                randbelow(6); randbelow(6); randbelow(6)
-            else:
-                vr = (vr + 1) % 6
-                rng_random()
-                randbelow(6)
-        randbelow(6)  # setident/getident pointer register
-        return vr
 
     # -- working-set introspection (used by the simulator's warm-up) --------------------
     def working_set_lines(self) -> Iterator[int]:
@@ -548,11 +520,11 @@ class WorkloadCore:
         that the measured window reflects steady state rather than the cold
         start of a short synthetic trace.
         """
-        records = self._slot_records
+        bases = self._slot_bases
+        sizes = self._slot_sizes
         for slot in self._order:
-            record = records[slot]
-            base = record.base
-            end = base + record.size
+            base = bases[slot]
+            end = base + sizes[slot]
             line = base & ~63
             while line < end:
                 yield line

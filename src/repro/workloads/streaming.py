@@ -29,7 +29,7 @@ from repro.errors import ConfigurationError
 from repro.sim.sampling import SamplingConfig, SamplingSchedule
 from repro.workloads.bundle import SampleSegment, TraceBundle
 from repro.workloads.profiles import BenchmarkProfile, profile_by_name
-from repro.workloads.synthetic import SyntheticWorkload
+from repro.workloads.synthetic import NO_OPS, SyntheticWorkload
 
 
 class SampleStream:
@@ -86,20 +86,20 @@ class SampleStream:
         outright — dropping it frees the sample.
         """
         workload = SyntheticWorkload(self.profile, seed=self.seed)
-        pending_warm: Tuple = ()
+        pending_warm = NO_OPS
         for start, end, phase in self._windows():
             length = end - start
             if phase == SamplingSchedule.SKIP:
                 workload.fast_forward(length)
-                pending_warm = ()
+                pending_warm = NO_OPS
             elif phase == SamplingSchedule.WARMUP:
-                pending_warm = tuple(workload.emit(length))
+                pending_warm = workload.emit(length)
             else:
                 snapshot = workload.snapshot_working_set()
-                measured = tuple(workload.emit(length))
+                measured = workload.emit(length)
                 yield SampleSegment(warmup=pending_warm, measured=measured,
                                     working_set=snapshot)
-                pending_warm = ()
+                pending_warm = NO_OPS
 
     def segment(self, index: int) -> SampleSegment:
         """Regenerate sample ``index`` alone, bit-identically (replay-on-demand).
@@ -130,10 +130,10 @@ class SampleStream:
             warm_start = windows[position - 1][0]
         workload = SyntheticWorkload(self.profile, seed=self.seed)
         workload.fast_forward(warm_start)
-        warmup = tuple(workload.emit(measure_start - warm_start)) \
-            if measure_start > warm_start else ()
+        warmup = workload.emit(measure_start - warm_start) \
+            if measure_start > warm_start else NO_OPS
         snapshot = workload.snapshot_working_set()
-        measured = tuple(workload.emit(measure_end - measure_start))
+        measured = workload.emit(measure_end - measure_start)
         return SampleSegment(warmup=warmup, measured=measured,
                              working_set=snapshot)
 

@@ -1,4 +1,4 @@
-"""Synthetic SPEC-like workload generator: the trace-emission layer.
+"""Synthetic SPEC-like workload generator: the stream-level API.
 
 Generates a dynamic macro-instruction trace whose mix matches a
 :class:`~repro.workloads.profiles.BenchmarkProfile`: memory intensity,
@@ -8,284 +8,89 @@ to obtain concrete heap addresses and lock locations, so the trace exercises
 the same allocator, shadow-address and lock-location code paths that a real
 program would — only the instruction selection is synthetic.
 
-The generator is split into two layers:
-
-* :class:`~repro.workloads.state_core.WorkloadCore` (the base class) evolves
-  the workload's *functional state* — RNG stream, allocator-backed object
-  set, locality cursors, hot set — and can do so in bulk without producing
-  any instructions (``advance_bulk``), which is what makes §9.1 fast-forward
-  windows at paper scale (100M+ instructions) tractable;
-* :class:`SyntheticWorkload` (this module) materializes the
-  :class:`~repro.sim.trace.DynamicOp` stream on top of that state, but only
-  where a trace is actually consumed: :meth:`generate`/:meth:`trace` for
-  conventional runs, :meth:`emit` for the warm-up/measure windows of a
-  sampled run, with :meth:`fast_forward` covering the skip windows.
-
-The produced :class:`~repro.sim.trace.DynamicOp` stream is what the trace
-expander and the out-of-order timing model consume for the Figure 5/7/8/9/10/11
-experiments.
+Ops are produced by one event loop in the state core
+(:class:`~repro.workloads.state_core.WorkloadCore`, natively through
+:mod:`repro.workloads._ffcore` when a C compiler is available) straight in
+the timing pipeline's input format: :class:`~repro.sim.trace.TraceTokens`
+columns over the static shape table :data:`~repro.workloads.shapes.SHAPES`.
+:class:`SyntheticWorkload` turns that loop into one continuous stream:
+:meth:`emit` returns the next window's tokens, :meth:`fast_forward` runs the
+same loop with its writes switched off, and an event split by a window
+boundary waits in a pending buffer for the next window.
+:class:`~repro.sim.trace.DynamicOp` objects exist only on demand — from
+:meth:`generate`, or by iterating a token trace — for the reference object
+pipeline and for tests.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from array import array
+from typing import Iterator, List
 
 from repro.errors import ConfigurationError
-from repro.isa.instructions import AccessSize, Instruction, Opcode, PointerHint
-from repro.isa.registers import ArchReg, fp_reg, int_reg
-from repro.sim.trace import DynamicOp
+from repro.sim.trace import DynamicOp, TraceTokens
 from repro.workloads.profiles import BenchmarkProfile
+from repro.workloads.shapes import SHAPES
 from repro.workloads.state_core import WorkloadCore
 
-#: Registers used to hold addresses (pointers into live objects).
-ADDRESS_REGS = tuple(int_reg(i) for i in range(1, 7))
-#: Registers used for integer data values.
-VALUE_REGS = tuple(int_reg(i) for i in range(7, 13))
-#: Registers used for floating point data.
-FP_REGS = tuple(fp_reg(i) for i in range(0, 6))
+#: Ops per :meth:`SyntheticWorkload.generate` emission chunk.
+_GENERATE_CHUNK = 4096
 
-#: Number of ALU instructions emitted to stand in for the allocator's own
-#: work on each malloc/free (the bulk of BASELINE_*_INSTRUCTIONS is loop code
-#: we do not need to model instruction-by-instruction, but a handful of
-#: dependent ALU ops preserves the front-end cost).
-RUNTIME_CALL_ALU_OPS = 6
-
-#: The two-register-source ALU opcodes drawn by :meth:`_alu_op` (identical
-#: draw to ``rng.choice``: one ``_randbelow(6)`` selecting from this tuple).
-_ALU_OPCODES = (Opcode.ADD_RI, Opcode.ADD_RI, Opcode.AND_RR,
-                Opcode.XOR_RR, Opcode.ADD_RR, Opcode.MUL_RR)
-
-#: Ceiling on interned Instruction shapes per workload.  The generator only
-#: ever produces a few hundred distinct shapes, so the bound exists purely as
-#: a safety valve: a paper-scale run in a pooled worker can never grow the
-#: cache without limit (the old module-level cache could, across profiles and
-#: worker lifetimes).  Consumers compare instructions by value, so dropping
-#: the cache is always safe.
-_INSTRUCTION_CACHE_LIMIT = 4096
+#: The empty token trace (no pending ops, a missing warm-up window, the
+#: top-level streams of a sampled bundle).  Never mutated: every consumer
+#: copies columns out of a token trace before extending them.
+NO_OPS = TraceTokens(array("q"), array("q"), array("q"), array("q"), SHAPES)
 
 
 class SyntheticWorkload(WorkloadCore):
     """Generates dynamic traces with a given benchmark's characteristics."""
 
     def __init__(self, profile: BenchmarkProfile, seed: int = 0):
-        #: Interned Instruction instances, keyed by their full field tuple.
-        #: The generator emits the same few hundred static shapes millions of
-        #: times; instructions are immutable by convention and every consumer
-        #: (expander, tokenizer, trace equality) compares them by value, so
-        #: sharing instances only removes dataclass-construction cost.  Keyed
-        #: per workload (bounded lifetime) rather than per process.
-        self._instruction_cache: Dict[tuple, Instruction] = {}
-        #: Ops of an event split by a sampled-window boundary, waiting for
-        #: the next window (`fast_forward` discards into it, `emit` drains
-        #: from it) — the continuous-stream equivalent of the suspended
-        #: generator the sampled segmentation used to hold open.
-        self._pending: List[DynamicOp] = []
+        #: Ops of an event split by a window boundary, waiting for the next
+        #: window (`fast_forward` discards from it, `emit` drains it).
+        self._pending = NO_OPS
         super().__init__(profile, seed=seed)
 
-    def _inst(self, opcode: Opcode, dest: Optional[ArchReg] = None,
-              srcs: Tuple[ArchReg, ...] = (), imm: int = 0,
-              size: AccessSize = AccessSize.WORD64,
-              pointer_hint: PointerHint = PointerHint.UNKNOWN) -> Instruction:
-        cache = self._instruction_cache
-        key = (opcode, dest, srcs, imm, size, pointer_hint)
-        inst = cache.get(key)
-        if inst is None:
-            if len(cache) >= _INSTRUCTION_CACHE_LIMIT:
-                cache.clear()
-            inst = cache[key] = Instruction(
-                opcode, dest=dest, srcs=srcs, imm=imm, size=size,
-                pointer_hint=pointer_hint)
-        return inst
+    def _take_pending(self, count: int) -> List[array]:
+        """Remove up to ``count`` pending ops; return copies of their columns."""
+        head = self._pending[:count]
+        self._pending = self._pending[count:]
+        return [head.tids, head.addrs, head.locks, head.mis]
 
-    # -- register selection -----------------------------------------------------------
-    def _address_reg(self) -> ArchReg:
-        return ADDRESS_REGS[self._randbelow(6)]
-
-    def _value_reg(self) -> ArchReg:
-        self._value_rotation = (self._value_rotation + 1) % len(VALUE_REGS)
-        return VALUE_REGS[self._value_rotation]
-
-    def _fp_reg(self) -> ArchReg:
-        return FP_REGS[self._randbelow(6)]
-
-    # -- instruction emission --------------------------------------------------------------
-    def _memory_op(self) -> Iterator[DynamicOp]:
-        profile = self.profile
-        roll = self.rng.random()
-        is_load = self.rng.random() < profile.load_fraction
-
-        if roll < profile.pointer_fraction:
-            hint, size, fp = PointerHint.POINTER, AccessSize.WORD64, False
-        elif roll < profile.word_integer_fraction:
-            hint, size, fp = PointerHint.NOT_POINTER, AccessSize.WORD64, False
-        elif roll < profile.word_integer_fraction + profile.fp_access_fraction:
-            hint, size, fp = PointerHint.NOT_POINTER, AccessSize.WORD64, True
-        else:
-            hint, size, fp = PointerHint.NOT_POINTER, AccessSize.WORD32, False
-
-        address, lock = self._memory_target(int(size),
-                                            pointer_access=hint is PointerHint.POINTER)
-        address_reg = self._address_reg()
-
-        # Occasionally refresh the address register with pointer arithmetic so
-        # memory operations have realistic address dependences.
-        if self.rng.random() < 0.25:
-            yield DynamicOp(self._inst(Opcode.ADD_RI, dest=address_reg,
-                                       srcs=(address_reg,), imm=8))
-
-        if fp:
-            opcode = Opcode.FLOAD if is_load else Opcode.FSTORE
-            data_reg = self._fp_reg()
-        else:
-            opcode = Opcode.LOAD if is_load else Opcode.STORE
-            data_reg = self._value_reg()
-
-        if is_load:
-            inst = self._inst(opcode, dest=data_reg, srcs=(address_reg,),
-                              size=size, pointer_hint=hint)
-        else:
-            inst = self._inst(opcode, srcs=(address_reg, data_reg),
-                              size=size, pointer_hint=hint)
-        yield DynamicOp(inst, address=address, lock_address=lock)
-
-    def _alu_op(self) -> DynamicOp:
-        if self.rng.random() < self.profile.fp_compute_fraction:
-            dest, a, b = self._fp_reg(), self._fp_reg(), self._fp_reg()
-            return DynamicOp(self._inst(Opcode.FADD, dest=dest, srcs=(a, b)))
-        previous_dest = VALUE_REGS[self._value_rotation]
-        dest = self._value_reg()
-        if self.rng.random() < 0.35:
-            # A dependent chain: consume the most recently produced value.
-            a = previous_dest
-        else:
-            a = VALUE_REGS[(self._value_rotation + 2) % len(VALUE_REGS)]
-        b = VALUE_REGS[(self._value_rotation + 4) % len(VALUE_REGS)]
-        # Pointer-arithmetic-style single-source operations dominate; the
-        # two-register-source forms (which cost a select µop under Watchdog,
-        # §6.2) are a smaller slice, matching the "other" segment of Figure 8.
-        opcode = _ALU_OPCODES[self._randbelow(6)]
-        if opcode is Opcode.ADD_RI:
-            return DynamicOp(self._inst(opcode, dest=dest, srcs=(a,), imm=1))
-        return DynamicOp(self._inst(opcode, dest=dest, srcs=(a, b)))
-
-    def _branch_op(self) -> DynamicOp:
-        mispredicted = self.rng.random() < self.profile.mispredict_rate
-        inst = self._inst(Opcode.BRANCH, srcs=(self._value_reg(),))
-        return DynamicOp(inst, mispredicted=mispredicted)
-
-    def _runtime_call_ops(self, lock_address: int, is_alloc: bool) -> Iterator[DynamicOp]:
-        """Instructions standing in for the malloc/free runtime body."""
-        for _ in range(RUNTIME_CALL_ALU_OPS):
-            yield self._alu_op()
-        pointer_reg = self._address_reg()
-        identifier_reg = VALUE_REGS[0]
-        if is_alloc:
-            inst = self._inst(Opcode.SETIDENT, srcs=(pointer_reg, identifier_reg))
-        else:
-            inst = self._inst(Opcode.GETIDENT, dest=identifier_reg,
-                              srcs=(pointer_reg,))
-        yield DynamicOp(inst, lock_address=lock_address)
-
-    def _allocation_event(self) -> Iterator[DynamicOp]:
-        # Keep the working set roughly constant: free one object for every
-        # allocation once the target population is reached.
-        freed = None
-        if len(self._order) >= self.profile.working_set_objects:
-            freed = self._free_random_object()
-        if freed is not None:
-            yield from self._runtime_call_ops(self._slot_locks[freed],
-                                              is_alloc=False)
-        slot = self._allocate_object()
-        yield from self._runtime_call_ops(self._slot_locks[slot], is_alloc=True)
-
-    def _call_event(self) -> Iterator[DynamicOp]:
-        if self._call_depth < 16 and self.rng.random() < 0.6:
-            self._call_depth += 1
-            yield DynamicOp(self._inst(Opcode.CALL))
-        elif self._call_depth > 0:
-            self._call_depth -= 1
-            yield DynamicOp(self._inst(Opcode.RET))
-
-    def _event_ops(self) -> List[DynamicOp]:
-        """Materialize the next event of the continuous dynamic stream.
-
-        Events draw all their randomness up front (the list is built before
-        anything is consumed), so window boundaries can split an event's ops
-        without perturbing the draw sequence.
-        """
-        roll = self.rng.random()
-        if roll < self._alloc_probability:
-            return list(self._allocation_event())
-        if roll < self._ac_probability:
-            return list(self._call_event())
-        if roll < self._mem_hi:
-            return list(self._memory_op())
-        if roll < self._br_hi:
-            return [self._branch_op()]
-        return [self._alu_op()]
-
-    # -- the generator ------------------------------------------------------------------------
-    def generate(self, instructions: int) -> Iterator[DynamicOp]:
-        """Yield approximately ``instructions`` dynamic macro operations.
-
-        This is the stand-alone streaming API: each call starts at the next
-        event boundary and a final event truncated by the limit has its tail
-        *discarded* (unchanged semantics — unsampled bundles depend on it).
-        The continuous-stream APIs (:meth:`emit`/:meth:`fast_forward`) keep
-        split events pending instead and cannot be mixed with this one.
-        """
+    def _refuse_mid_event(self) -> None:
         if self._pending:
             raise ConfigurationError(
                 "generate() cannot follow fast_forward()/emit() mid-event; "
                 "use emit() to continue the continuous stream")
-        emitted = 0
-        while emitted < instructions:
-            for op in self._event_ops():
-                yield op
-                emitted += 1
-                if emitted >= instructions:
-                    return
-
-    def trace(self, instructions: int) -> List[DynamicOp]:
-        """Materialize a trace as a list (convenience for tests)."""
-        return list(self.generate(instructions))
 
     # -- the continuous-stream window APIs (§9.1 sampled segmentation) ---------------
-    def emit(self, count: int) -> List[DynamicOp]:
-        """Materialize the next ``count`` ops of the continuous stream.
+    def emit(self, count: int) -> TraceTokens:
+        """The next ``count`` ops of the continuous stream, as tokens.
 
-        Equivalent to ``islice`` over one never-restarted :meth:`generate`
-        run: an event split by the window boundary keeps its tail pending for
-        the next :meth:`emit`/:meth:`fast_forward` call.
+        An event split by the window boundary keeps its tail pending for the
+        next :meth:`emit`/:meth:`fast_forward` call, so consecutive windows
+        concatenate to the one continuous stream.
         """
-        out: List[DynamicOp] = []
-        pending = self._pending
-        if pending:
-            if len(pending) >= count:
-                out = pending[:count]
-                del pending[:count]
-                return out
-            out = pending[:]
-            del pending[:]
-        while len(out) < count:
-            ops = self._event_ops()
-            need = count - len(out)
-            if len(ops) <= need:
-                out.extend(ops)
-            else:
-                out.extend(ops[:need])
-                pending.extend(ops[need:])
-        return out
+        cols = self._take_pending(count)
+        need = count - len(cols[0])
+        if need > 0:
+            self._emit_span(need, cols)
+            if len(cols[0]) > count:
+                self._pending = TraceTokens(
+                    *(column[count:] for column in cols), SHAPES)
+                for column in cols:
+                    del column[count:]
+        return TraceTokens(*cols, SHAPES)
 
     def fast_forward(self, count: int) -> None:
         """Advance the functional state across ``count`` ops of the stream.
 
-        The RNG position, allocator state, working set and locality cursors
-        end up bit-identical to ``emit(count)`` with the result thrown away —
-        that equivalence is what keeps sampled traces unchanged — but the
-        skip window's instructions are never materialized.  Whole events are
-        advanced by the state core in bulk; only an event straddling the
-        window boundary is materialized, into the pending buffer.
+        Emit-and-discard by construction: whole events run through the
+        emitter's event loop with its writes switched off, and only the
+        event straddling the window boundary is emitted, its tail kept
+        pending.  The RNG position, allocator state, working set and
+        locality cursors therefore end up exactly where ``emit(count)``
+        would leave them.
 
         Because consecutive calls compose (``fast_forward(a + b)`` ≡
         ``fast_forward(a); fast_forward(b)``, both golden-pinned), any window
@@ -295,19 +100,37 @@ class SyntheticWorkload(WorkloadCore):
         """
         if count <= 0:
             return
-        pending = self._pending
-        if pending:
-            if len(pending) >= count:
-                del pending[:count]
-                return
-            count -= len(pending)
-            del pending[:]
-        count = self.advance_bulk(count)
-        while count > 0:
-            ops = self._event_ops()
-            n = len(ops)
-            if n <= count:
-                count -= n
-            else:
-                pending.extend(ops[count:])
-                return
+        count -= len(self._take_pending(count)[0])
+        if count > 0:
+            count = self._emit_span(count, None)
+        if count > 0:
+            self.emit(count)
+
+    # -- stand-alone traces ---------------------------------------------------------
+    def trace(self, instructions: int) -> TraceTokens:
+        """The next ``instructions`` ops, starting and ending on an event
+        boundary: the tail of an event truncated by the limit is *discarded*
+        (unsampled bundles depend on it).
+
+        Cannot follow :meth:`emit`/:meth:`fast_forward` mid-event.
+        """
+        self._refuse_mid_event()
+        tokens = self.emit(instructions)
+        self._pending = NO_OPS
+        return tokens
+
+    def generate(self, instructions: int) -> Iterator[DynamicOp]:
+        """Yield :meth:`trace`'s ops as :class:`DynamicOp` objects, lazily.
+
+        The stand-alone streaming API of the reference pipeline: ops are
+        emitted in chunks and materialized as they are consumed.
+        """
+        self._refuse_mid_event()
+        try:
+            remaining = instructions
+            while remaining > 0:
+                chunk = self.emit(min(remaining, _GENERATE_CHUNK))
+                remaining -= len(chunk)
+                yield from chunk
+        finally:
+            self._pending = NO_OPS

@@ -10,15 +10,17 @@ Covers the three equivalences the refactor must preserve:
   RNG, allocator, working set, cursors and hot set exactly where emitting
   and discarding ``n`` ops would, for arbitrary window sizes including ones
   that split allocation events;
-* **native kernel ≡ pure Python** — the optional C kernel and the fallback
-  span loop advance state identically.
+* **native kernel ≡ pure Python** — the optional C emitter and its
+  pure-Python mirror write identical token columns and advance state
+  identically, window partitions and allocation-event splits included.
 
-Plus the satellite behaviours: the bounded per-workload instruction cache,
-the ``*-paper`` profiles and horizon-fitted schedule, the paper-scale
-validation, and the engine's per-sample fan-out determinism.
+Plus the satellite behaviours: the static shape table, the ``*-paper``
+profiles and horizon-fitted schedule, the paper-scale validation, and the
+engine's per-sample fan-out determinism.
 """
 
 import dataclasses
+import pickle
 import zlib
 
 import pytest
@@ -40,8 +42,43 @@ from repro.workloads.profiles import (
     paper_profile_names,
     profile_by_name,
 )
+from repro.sim.compiled import tokenize
+from repro.sim.trace import DynamicOp
+from repro.workloads.shapes import NUM_SHAPES, SHAPES
+from repro.workloads.streaming import SampleStream
 from repro.workloads.synthetic import SyntheticWorkload
 from repro.workloads.state_core import MAX_EVENT_OPS
+
+native_only = pytest.mark.skipif(_ffcore.load() is None,
+                                 reason="native emit kernel unavailable")
+
+#: Allocation events every few ops: windows constantly split them.
+ALLOC_HEAVY = BenchmarkProfile(
+    name="alloc-heavy-test", memory_fraction=0.3, load_fraction=0.6,
+    word_integer_fraction=0.4, pointer_fraction=0.3,
+    fp_access_fraction=0.05, fp_compute_fraction=0.1,
+    branch_fraction=0.15, mispredict_rate=0.05, calls_per_kilo=5.0,
+    allocs_per_kilo=60.0, typical_alloc_bytes=96,
+    working_set_objects=64, temporal_locality=0.7,
+    spatial_locality=0.6)
+#: An allocation event on almost every event draw.
+ALLOC_EVERY_OP = dataclasses.replace(
+    profile_by_name("perl"), name="alloc-every-op",
+    allocs_per_kilo=300.0, working_set_objects=16)
+
+
+def columns(tokens):
+    """The four token columns of an emitted window, as comparable tuples."""
+    assert tokens.insts is SHAPES
+    return (tuple(tokens.tids), tuple(tokens.addrs), tuple(tokens.locks),
+            tuple(tokens.mis))
+
+
+def python_emitter(profile, seed):
+    """A workload forced onto the pure-Python emitter."""
+    workload = SyntheticWorkload(profile, seed=seed)
+    workload._ffcore = None
+    return workload
 
 
 def op_key(op):
@@ -80,7 +117,7 @@ def state_fingerprint(workload):
         tuple(workload._order),
         tuple(workload._hot),
         tuple(workload._slot_cursors),
-        bytes(workload._slot_live),
+        tuple(workload._slot_bases),
         bytes(workload._slot_rich),
         workload._global_cursor,
         workload._call_depth,
@@ -182,20 +219,15 @@ class TestFastForwardEquivalence:
 
         The meta-RNG draws window sizes from 1 op (guaranteed to split
         multi-op events, including allocation events on the alloc-heavy
-        profile below) up to several thousand.
+        profiles below) up to several thousand.  The reference emits with
+        the default emitter (native when available); with ``force_python``
+        the skipper runs the pure-Python mirror, so the emitted token
+        columns are compared across the two languages.
         """
         import random as random_mod
 
-        alloc_heavy = BenchmarkProfile(
-            name="alloc-heavy-test", memory_fraction=0.3, load_fraction=0.6,
-            word_integer_fraction=0.4, pointer_fraction=0.3,
-            fp_access_fraction=0.05, fp_compute_fraction=0.1,
-            branch_fraction=0.15, mispredict_rate=0.05, calls_per_kilo=5.0,
-            allocs_per_kilo=60.0, typical_alloc_bytes=96,
-            working_set_objects=64, temporal_locality=0.7,
-            spatial_locality=0.6)
         meta = random_mod.Random(20260726)
-        cases = [(alloc_heavy, 11), (alloc_heavy, 12),
+        cases = [(ALLOC_HEAVY, 11), (ALLOC_HEAVY, 12), (ALLOC_EVERY_OP, 4),
                  (profile_by_name("twolf"), 5), (profile_by_name("gcc"), 9)]
         for profile, seed in cases:
             reference = SyntheticWorkload(profile, seed=seed)
@@ -211,32 +243,75 @@ class TestFastForwardEquivalence:
                 skipper.fast_forward(skip)
                 emitted.append((reference_window, skipper.emit(take)))
             for reference_window, skipped_window in emitted:
+                assert columns(skipped_window) == columns(reference_window)
                 assert [op_key(op) for op in skipped_window] == \
                     [op_key(op) for op in reference_window]
             assert state_fingerprint(skipper) == state_fingerprint(reference)
 
-    def test_fast_forward_splits_allocation_events(self):
-        """A 1-op fast-forward stream must split runtime-call sequences."""
-        profile = dataclasses.replace(
-            profile_by_name("perl"), name="alloc-every-op",
-            allocs_per_kilo=300.0, working_set_objects=16)
+    @pytest.mark.parametrize("force_python", (False, True))
+    @pytest.mark.parametrize("profile", (ALLOC_HEAVY, ALLOC_EVERY_OP),
+                             ids=lambda profile: profile.name)
+    def test_fast_forward_splits_allocation_events(self, profile,
+                                                   force_python):
+        """1-op windows split runtime-call sequences, skipped or emitted.
+
+        An emitted 1-op window landing on an allocation event makes the
+        native emitter bounce to Python mid-event and patch the lock of the
+        event's GETIDENT/SETIDENT op into its output columns; the rest of
+        the event waits in the pending buffer.
+        """
         reference = SyntheticWorkload(profile, seed=2)
         skipper = SyntheticWorkload(profile, seed=2)
+        if force_python:
+            skipper._ffcore = None
         reference_ops = reference.emit(400)
-        got = []
         for index in range(400):
             if index % 2 == 0:
                 skipper.fast_forward(1)
-                got.append(None)
             else:
-                got.append(skipper.emit(1)[0])
-        for index, op in enumerate(got):
-            if op is not None:
-                assert op_key(op) == op_key(reference_ops[index])
+                assert columns(skipper.emit(1)) == \
+                    columns(reference_ops[index:index + 1])
         assert state_fingerprint(skipper) == state_fingerprint(reference)
 
-    @pytest.mark.skipif(_ffcore.load() is None,
-                        reason="native fast-forward kernel unavailable")
+    @native_only
+    @pytest.mark.parametrize("profile", (ALLOC_HEAVY, ALLOC_EVERY_OP,
+                                         profile_by_name("mcf-long")),
+                             ids=lambda profile: profile.name)
+    def test_every_window_size_matches_python_emitter(self, profile):
+        """``emit(k)`` windows for k in 1..MAX_EVENT_OPS, native vs Python.
+
+        Each window size lands event overruns of every length in the
+        pending buffer; concatenated, the native windows must be the
+        Python emitter's one continuous stream, column for column.
+        """
+        for k in range(1, MAX_EVENT_OPS + 1):
+            native = SyntheticWorkload(profile, seed=k)
+            assert native._ffcore is not None
+            python = python_emitter(profile, seed=k)
+            windows = [native.emit(k) for _ in range(300 // k + 1)]
+            stream = python.emit(sum(len(window) for window in windows))
+            position = 0
+            for window in windows:
+                assert columns(window) == \
+                    columns(stream[position:position + k])
+                position += k
+            assert state_fingerprint(native) == state_fingerprint(python)
+
+    def test_sample_segment_pickle_round_trip(self):
+        stream = SampleStream(ALLOC_HEAVY, 3, 9_000, SamplingConfig(
+            fast_forward=313, warmup=328, sample=356))
+        segment = next(iter(stream.segments()))
+        blob = pickle.dumps(segment)
+        clone = pickle.loads(blob)
+        # The shape table travels by reference, never by content.
+        assert clone.measured.insts is SHAPES
+        assert clone.warmup.insts is SHAPES
+        assert b"Instruction" not in blob
+        assert columns(clone.measured) == columns(segment.measured)
+        assert columns(clone.warmup) == columns(segment.warmup)
+        assert clone == segment
+
+    @native_only
     def test_native_kernel_matches_pure_python(self):
         for name, seed, count in (("mcf-long", 7, 30_000),
                                   ("gcc-long", 2, 30_000),
@@ -256,62 +331,72 @@ class TestFastForwardEquivalence:
         with pytest.raises(ConfigurationError, match="continuous stream"):
             list(workload.generate(10))
 
-    def test_fast_forward_throughput_beats_drained_generation(self):
-        """The split's raison d'être: skip windows far cheaper than emission.
+    @native_only
+    def test_fast_forward_throughput_beats_python_emitter(self):
+        """Skip windows far cheaper than emission without a compiler.
 
-        Conservative 2x bound so the test is robust on any machine even on
-        the pure-Python fallback; `repro bench` tracks the real ratio
-        (>= 10x against the recorded pre-split baseline, ~45x with the
-        native kernel on a development machine).
+        Emission runs in C too, so the premise is now measured against the
+        pure-Python column emitter — the path that would carry every window
+        without a compiler.  Fast-forward is the same loop with its writes
+        switched off, so this needs the native kernel to hold.
+        Conservative 2x bound; `repro bench` tracks the real rates.
         """
         import time
 
-        workload = SyntheticWorkload(profile_by_name("mcf-long"), seed=7)
+        emitter = python_emitter(profile_by_name("mcf-long"), seed=7)
         started = time.perf_counter()
-        workload.emit(20_000)
+        emitter.emit(20_000)
         emit_wall = time.perf_counter() - started
+        workload = SyntheticWorkload(profile_by_name("mcf-long"), seed=7)
+        workload.emit(20_000)
         started = time.perf_counter()
         workload.fast_forward(20_000)
         skip_wall = time.perf_counter() - started
         assert skip_wall * 2 < emit_wall
 
+    @native_only
+    def test_native_emitter_beats_python_emitter(self):
+        """The C emitter writes the same columns at least 3x faster."""
+        import time
 
-class TestInstructionCache:
-    def test_module_level_cache_is_gone(self):
-        import repro.workloads.synthetic as synthetic_mod
+        walls = []
+        for workload in (SyntheticWorkload(profile_by_name("mcf-long"),
+                                           seed=7),
+                         python_emitter(profile_by_name("mcf-long"), seed=7)):
+            started = time.perf_counter()
+            workload.emit(20_000)
+            walls.append(time.perf_counter() - started)
+        native_wall, python_wall = walls
+        assert native_wall * 3 < python_wall
 
-        assert not hasattr(synthetic_mod, "_INSTRUCTION_CACHE")
 
-    def test_cache_is_per_workload_and_bounded(self):
-        from repro.workloads.synthetic import _INSTRUCTION_CACHE_LIMIT
+class TestShapeTable:
+    def test_table_is_a_module_constant_with_590_entries(self):
+        assert isinstance(SHAPES, tuple)
+        assert len(SHAPES) == NUM_SHAPES == 590
+        workload = SyntheticWorkload(profile_by_name("gcc"), seed=1)
+        assert workload.emit(500).insts is SHAPES
+        assert not hasattr(workload, "_instruction_cache")
 
-        first = SyntheticWorkload(profile_by_name("gcc"), seed=1)
-        second = SyntheticWorkload(profile_by_name("gcc"), seed=1)
-        trace_first = first.trace(4_000)
-        trace_second = second.trace(4_000)
-        assert first._instruction_cache is not second._instruction_cache
-        assert 0 < len(first._instruction_cache) <= _INSTRUCTION_CACHE_LIMIT
-        # Interning is per workload; instructions still compare by value
-        # across workloads (what the tokenizer and golden tests rely on).
-        assert all(a.instruction == b.instruction
-                   for a, b in zip(trace_first, trace_second))
-        assert trace_first[0].instruction is not trace_second[0].instruction
+    def test_every_shape_is_emitted_by_some_profile(self):
+        seen = set()
+        for name in benchmark_names():
+            workload = SyntheticWorkload(profile_by_name(name), seed=0)
+            seen.update(workload.emit(60_000).tids)
+        assert seen == set(range(NUM_SHAPES))
 
-    def test_cache_clears_at_limit_without_changing_traces(self):
+    def test_tokenize_keys_are_injective_over_the_table(self):
+        # Interning one op per shape must give every shape its own token id
+        # even though tokenize ignores immediates.
+        tokens = tokenize([DynamicOp(inst) for inst in SHAPES])
+        assert list(tokens.tids) == list(range(NUM_SHAPES))
+
+    def test_tokenize_of_emitted_tokens_is_identity(self):
         workload = SyntheticWorkload(profile_by_name("gcc"), seed=3)
-        workload._instruction_cache.clear()
-        # Shrink the effective limit by pre-filling junk keys.
-        from repro.workloads import synthetic as synthetic_mod
-
-        original = synthetic_mod._INSTRUCTION_CACHE_LIMIT
-        synthetic_mod._INSTRUCTION_CACHE_LIMIT = 8
-        try:
-            trace = workload.trace(300)
-        finally:
-            synthetic_mod._INSTRUCTION_CACHE_LIMIT = original
-        assert len(workload._instruction_cache) <= 8
-        reference = SyntheticWorkload(profile_by_name("gcc"), seed=3).trace(300)
-        assert [op_key(op) for op in trace] == [op_key(op) for op in reference]
+        emitted = workload.emit(3_000)
+        assert tokenize(emitted) is emitted
+        # ...and re-interning the materialized ops gives the same trace.
+        assert tokenize(list(emitted)) == emitted
 
 
 class TestPaperScale:

@@ -432,6 +432,41 @@ class TestSlotCompaction:
 
 
 class TestFootprintAudit:
+    def test_token_columns_are_budgeted_per_op(self):
+        bundle = TraceBundle.generate("mcf", seed=7, instructions=3_000)
+        ops = len(bundle.measured) + len(bundle.warmup)
+        snapshot = len(bundle.working_set.lines) + len(bundle.working_set.locks)
+        # Four int64 token columns per op; tokenize shares them, so
+        # building the compiled streams adds only the compiled columns.
+        assert bundle.footprint_ops() == 4 * ops + snapshot
+        bundle.compiled_streams(ISA)
+        assert bundle.footprint_ops() > 4 * ops + snapshot
+
+    def test_compiled_bundles_evict_lru_first_under_budget(self, monkeypatch):
+        from collections import OrderedDict
+
+        from repro.sim import engine as engine_mod
+
+        monkeypatch.setattr(engine_mod, "_BUNDLES", OrderedDict())
+
+        def bundle_for(name):
+            return engine_mod._bundle_for(engine_mod.BenchmarkJob(
+                benchmark=name, seed=7, instructions=3_000,
+                warmup_instructions=None, sampling=None,
+                pipeline="compiled", cells=(("wd", ISA),)))
+
+        first = bundle_for("gzip")
+        first.compiled_streams(ISA)
+        second = bundle_for("mcf")
+        second.compiled_streams(ISA)
+        budget = first.footprint_ops() + second.footprint_ops()
+        monkeypatch.setattr(engine_mod, "_BUNDLES_OP_BUDGET", budget)
+        assert bundle_for("gzip") is first  # a memo hit; mcf is now LRU
+        third = bundle_for("lbm")
+        assert third.footprint_ops() < second.footprint_ops()
+        assert [key[0] for key in engine_mod._BUNDLES] == ["gzip", "lbm"]
+        assert bundle_for("gzip") is first
+
     def test_materialized_tuples_are_budgeted(self):
         bundle = TraceBundle.generate("mcf", seed=7, instructions=3_000)
         streams = bundle.compiled_streams(ISA)
