@@ -79,8 +79,9 @@ _SOURCE = _DEFINES + r"""
 /* Emit kernel: exact replica of the WorkloadCore event loop.
  *
  * MT19937 follows CPython's _randommodule.c: the 624-word state plus index
- * round-trips through random.Random.getstate()/setstate(), rnd() is
- * genrand_res53 (two tempered words), randbelow() is
+ * round-trips through random.Random.getstate()/setstate(), rnd53() is
+ * genrand_res53 (two tempered words) before its exact scaling by 2^-53,
+ * randbelow() is
  * _randbelow_with_getrandbits (top bits of one word, rejection-resampled).
  * Any change to the draw sequence here must match state_core.py exactly.
  */
@@ -118,9 +119,25 @@ static uint32_t genrand(MT *st) {
     return y;
 }
 
-static double rnd(MT *st) {
-    uint32_t a = genrand(st) >> 5, b = genrand(st) >> 6;
-    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+/* random() times 2^53: the integer k that genrand_res53 returns as k/2^53.
+ * The loop compares it against thresh(p), never converting to double. */
+static inline uint64_t rnd53(MT *st) {
+    uint64_t a = genrand(st) >> 5;
+    return (a << 26) | (genrand(st) >> 6);
+}
+
+/* The T with (rnd53() < T) == (random() < p): k/2^53 < p exactly when
+ * k < p*2^53 (scaling by 2^53 is exact), i.e. when k < ceil(p*2^53). */
+static uint64_t thresh(double p) {
+    double r;
+    uint64_t t;
+    if (p <= 0.0)
+        return 0;
+    if (p >= 1.0)
+        return 1ULL << 53;
+    r = p * 9007199254740992.0;
+    t = (uint64_t)r;
+    return (double)t < r ? t + 1 : t;
 }
 
 static int64_t randbelow(MT *st, int64_t n) {
@@ -133,16 +150,17 @@ static int64_t randbelow(MT *st, int64_t n) {
 
 /* One ALU op: fp roll, then either three fp-register picks (FADD) or a
  * value-register rotation, a dependent-chain roll and an opcode choice. */
-static int64_t alu(MT *st, double fp_compute, int64_t *vr) {
+static int64_t alu(MT *st, uint64_t fp_compute, uint64_t chain_p,
+                   int64_t *vr) {
     int64_t d, a, k;
     int chain;
-    if (rnd(st) < fp_compute) {
+    if (rnd53(st) < fp_compute) {
         d = randbelow(st, 6);
         a = randbelow(st, 6);
         return SH_FADD + (d * 6 + a) * 6 + randbelow(st, 6);
     }
     *vr = (*vr + 1) % 6;
-    chain = rnd(st) < 0.35;
+    chain = rnd53(st) < chain_p;
     k = randbelow(st, 6);
     return SH_ALU_INT + (*vr * 2 + chain) * 5 + (k < 2 ? 0 : k - 1);
 }
@@ -164,7 +182,7 @@ static int64_t alu(MT *st, double fp_compute, int64_t *vr) {
 #define RUNTIME_CALL(ident_base, ident_pos) do {                        \
         int i_;                                                         \
         for (i_ = 0; i_ < 6; i_++)                                      \
-            PUT(alu(&st, fpc, &vr), NO_ADDR, NO_ADDR, 0);               \
+            PUT(alu(&st, fpc, chain_p, &vr), NO_ADDR, NO_ADDR, 0);      \
         ident_pos = pos;                                                \
         PUT((ident_base) + randbelow(&st, 6), NO_ADDR, NO_ADDR, 0);     \
     } while (0)
@@ -182,10 +200,14 @@ static inline __attribute__((always_inline)) long long event_loop(
     MT st = { mtstate, scal[6] };
     int64_t remaining = scal[0], vr = scal[1], gc = scal[2], depth = scal[3];
     int64_t n_order = scal[4], hot_len = scal[5], pos = scal[10];
-    const double alloc_p = cd[0], ac_hi = cd[1], mem_hi = cd[2], br_hi = cd[3];
-    const double ptr_f = cd[4], word_f = cd[5], wordfp_f = cd[6], fpc = cd[7];
-    const double temporal = cd[8], spatial = cd[9], global_frac = cd[10];
-    const double load_f = cd[11], mispredict = cd[12];
+    const uint64_t alloc_p = thresh(cd[0]), ac_hi = thresh(cd[1]);
+    const uint64_t mem_hi = thresh(cd[2]), br_hi = thresh(cd[3]);
+    const uint64_t ptr_f = thresh(cd[4]), word_f = thresh(cd[5]);
+    const uint64_t wordfp_f = thresh(cd[6]), fpc = thresh(cd[7]);
+    const uint64_t temporal = thresh(cd[8]), spatial = thresh(cd[9]);
+    const uint64_t global_frac = thresh(cd[10]), load_f = thresh(cd[11]);
+    const uint64_t mispredict = thresh(cd[12]), chain_p = thresh(0.35);
+    const uint64_t bump_p = thresh(0.25), call_p = thresh(0.6);
     const int64_t span_g = ci[0], span_p = ci[1], ws = ci[2];
     const int64_t min_keep = ci[3], size_low = ci[4], size_nslots = ci[5];
     const int64_t cold_pool = ci[6], hot_max = ci[7];  /* hot_max <= 15 */
@@ -197,22 +219,22 @@ static inline __attribute__((always_inline)) long long event_loop(
     int64_t get_pos = -1, set_pos = -1;
 
     while (remaining >= floor) {
-        double roll = rnd(&st);
+        uint64_t roll = rnd53(&st);
         if (roll >= br_hi) {                           /* ALU op */
-            PUT(alu(&st, fpc, &vr), NO_ADDR, NO_ADDR, 0);
+            PUT(alu(&st, fpc, chain_p, &vr), NO_ADDR, NO_ADDR, 0);
         } else if (roll >= mem_hi) {                   /* branch */
-            int mis = rnd(&st) < mispredict;
+            int mis = rnd53(&st) < mispredict;
             vr = (vr + 1) % 6;
             PUT(SH_BRANCH + vr, NO_ADDR, NO_ADDR, mis);
         } else if (roll >= ac_hi) {                    /* memory op */
-            double roll2 = rnd(&st);
-            int store = !(rnd(&st) < load_f);
+            uint64_t roll2 = rnd53(&st);
+            int store = !(rnd53(&st) < load_f);
             int cls = roll2 < ptr_f ? 0 : roll2 < word_f ? 1
                 : roll2 < wordfp_f ? 2 : 3;
             int64_t nbytes = cls == 3 ? 4 : 8, off = 0, addr, lock, ar, data;
-            if (rnd(&st) < global_frac || n_order == 0) {  /* global target */
+            if (rnd53(&st) < global_frac || n_order == 0) {  /* global target */
                 int64_t span = cls == 0 ? span_p : span_g;
-                if (rnd(&st) < spatial) {
+                if (rnd53(&st) < spatial) {
                     if (emit)
                         off = gc % span;
                     gc += nbytes;
@@ -223,7 +245,7 @@ static inline __attribute__((always_inline)) long long event_loop(
                 lock = global_lock;
             } else {                                   /* heap target */
                 int64_t slot, size, limit;
-                if (hot_len > 0 && rnd(&st) < temporal) {
+                if (hot_len > 0 && rnd53(&st) < temporal) {
                     if (cls == 0) {
                         int64_t cnt = 0, tmp[16], i;
                         for (i = 0; i < hot_len; i++)
@@ -265,7 +287,7 @@ static inline __attribute__((always_inline)) long long event_loop(
                 limit = size - nbytes;
                 if (limit < 1)
                     limit = 1;
-                if (rnd(&st) < spatial) {
+                if (rnd53(&st) < spatial) {
                     int64_t m = size > nbytes ? size : nbytes;
                     if (emit)
                         off = cursors[slot] % limit;
@@ -277,7 +299,7 @@ static inline __attribute__((always_inline)) long long event_loop(
                 lock = locks[slot];
             }
             ar = randbelow(&st, 6);                    /* address register */
-            if (rnd(&st) < 0.25)                       /* pointer refresh */
+            if (rnd53(&st) < bump_p)                       /* pointer refresh */
                 PUT(SH_ADDR_BUMP + ar, NO_ADDR, NO_ADDR, 0);
             if (cls == 2) {
                 data = randbelow(&st, 6);
@@ -287,7 +309,7 @@ static inline __attribute__((always_inline)) long long event_loop(
             }
             PUT(SH_MEM + ((cls * 2 + store) * 6 + ar) * 6 + data, addr, lock, 0);
         } else if (roll >= alloc_p) {                  /* call / return */
-            if (depth < 16 && rnd(&st) < 0.6) {
+            if (depth < 16 && rnd53(&st) < call_p) {
                 depth++;
                 PUT(SH_CALL, NO_ADDR, NO_ADDR, 0);
             } else if (depth > 0) {
@@ -338,7 +360,7 @@ long long ff_selftest(uint32_t *mtstate, long long *mti_io, double *dout,
     static const int64_t ns[8] = {6, 1, 192, 8192, 13, 7, 4096, 2000000};
     int i;
     for (i = 0; i < 8; i++)
-        dout[i] = rnd(&st);
+        dout[i] = rnd53(&st) * (1.0 / 9007199254740992.0);
     for (i = 0; i < 8; i++)
         iout[i] = randbelow(&st, ns[i]);
     *mti_io = st.mti;
