@@ -28,7 +28,6 @@ from repro.workloads.synthetic import NO_OPS, SyntheticWorkload
 _STREAM_CACHE_ATTR = "_cc_streams"
 
 
-
 #: Largest horizon a bundle may materialize *unsampled* — whether because no
 #: sampling schedule was requested at all, or because a requested §9.1
 #: schedule measures nothing and would normalize to the unsampled layout
