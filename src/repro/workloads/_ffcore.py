@@ -9,7 +9,14 @@ module compiles a small C kernel (through the shared
 cached on disk) that replicates CPython's MT19937 primitives — ``random()``
 is two tempered words combined as ``genrand_res53`` and ``_randbelow(n)`` is
 ``getrandbits(n.bit_length())`` with rejection — and runs the one event loop
-(``ff_emit``) over the core's shared slot arrays.
+(``ff_emit``) over the core's shared slot arrays.  The twister is generated
+in blocks: each twist regenerates all 624 state words and tempers them in
+one vectorized pass, so a draw is a single load, and a call entering
+mid-block tempers the block's remaining words once; the state handed back
+to :mod:`random` is CPython's own ``(mt, mti)``.  The rich slots of the
+cold-pool window are listed once per call (the window only moves at an
+allocation bounce, which ends the call), so a cold pointer access is one
+bounded draw into that list.
 
 Given output buffers, ``ff_emit`` writes each op as token columns — a
 :mod:`~repro.workloads.shapes` id, the address, the lock address and the
@@ -43,6 +50,8 @@ from repro.workloads import shapes
 #: Upper bound on the dynamic ops a single event can produce (an allocation
 #: event that both frees and allocates: two 7-op runtime-call sequences).
 MAX_EVENT_OPS = 14
+#: Largest cold-pool window the kernel's per-call candidate list holds.
+MAX_COLD_POOL = 256
 
 #: ``scal`` slot layout shared with the C kernel (int64 in/out registers).
 SCAL_REMAINING = 0
@@ -68,7 +77,8 @@ REASON_DONE = 0
 REASON_ALLOC = 1
 
 _DEFINES = "".join(f"#define {name} {value}LL\n" for name, value in (
-    ("MAX_EVENT_OPS", MAX_EVENT_OPS), ("NO_ADDR", NO_ADDRESS),
+    ("MAX_EVENT_OPS", MAX_EVENT_OPS), ("MAX_COLD_POOL", MAX_COLD_POOL),
+    ("NO_ADDR", NO_ADDRESS),
     ("SH_ALU_INT", shapes.SH_ALU_INT), ("SH_FADD", shapes.SH_FADD),
     ("SH_BRANCH", shapes.SH_BRANCH), ("SH_ADDR_BUMP", shapes.SH_ADDR_BUMP),
     ("SH_MEM", shapes.SH_MEM), ("SH_CALL", shapes.SH_CALL),
@@ -83,6 +93,9 @@ _SOURCE = _DEFINES + r"""
  * genrand_res53 (two tempered words) before its exact scaling by 2^-53,
  * randbelow() is
  * _randbelow_with_getrandbits (top bits of one word, rejection-resampled).
+ * Words are produced in tempered 624-word blocks (twist() below); entry
+ * mid-block tempers the rest of the current block once (mt_init()).  The
+ * event loop lists the cold-pool window's rich slots once per call.
  * Any change to the draw sequence here must match state_core.py exactly.
  */
 #include <stdint.h>
@@ -91,32 +104,84 @@ _SOURCE = _DEFINES + r"""
 #define MT_N 624
 #define MT_M 397
 
-typedef struct { uint32_t *mt; int64_t mti; } MT;
+/* The state words stay in the caller's buffer (``mt``/``mti`` is exactly
+ * CPython's state); ``out`` holds their tempered outputs.  One twist
+ * regenerates all 624 words and tempers them into ``out`` in the same
+ * pass, four lanes at a time, so a draw is a single load. */
+typedef uint32_t v4u __attribute__((vector_size(16)));
+typedef struct {
+    uint32_t *mt;
+    int64_t mti;
+    uint32_t out[MT_N] __attribute__((aligned(16)));
+} MT;
 
-static uint32_t genrand(MT *st) {
-    uint32_t y;
-    if (st->mti >= MT_N) {
-        uint32_t *mt = st->mt;
-        int kk;
-        for (kk = 0; kk < MT_N - MT_M; kk++) {
-            y = (mt[kk] & 0x80000000u) | (mt[kk + 1] & 0x7fffffffu);
-            mt[kk] = mt[kk + MT_M] ^ (y >> 1) ^ ((y & 1u) ? 0x9908b0dfu : 0u);
-        }
-        for (; kk < MT_N - 1; kk++) {
-            y = (mt[kk] & 0x80000000u) | (mt[kk + 1] & 0x7fffffffu);
-            mt[kk] = mt[kk + (MT_M - MT_N)] ^ (y >> 1)
-                ^ ((y & 1u) ? 0x9908b0dfu : 0u);
-        }
-        y = (mt[MT_N - 1] & 0x80000000u) | (mt[0] & 0x7fffffffu);
-        mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ ((y & 1u) ? 0x9908b0dfu : 0u);
-        st->mti = 0;
-    }
-    y = st->mt[st->mti++];
+static inline uint32_t temper(uint32_t y) {
     y ^= (y >> 11);
     y ^= (y << 7) & 0x9d2c5680u;
     y ^= (y << 15) & 0xefc60000u;
-    y ^= (y >> 18);
-    return y;
+    return y ^ (y >> 18);
+}
+
+static inline v4u temper4(v4u y) {
+    y ^= (y >> 11);
+    y ^= (y << 7) & 0x9d2c5680u;
+    y ^= (y << 15) & 0xefc60000u;
+    return y ^ (y >> 18);
+}
+
+/* The state buffer has no alignment guarantee: lanes move through memcpy,
+ * which compiles to unaligned vector loads and stores. */
+static inline v4u load4(const uint32_t *p) {
+    v4u v;
+    memcpy(&v, p, sizeof v);
+    return v;
+}
+
+/* mt[kk..kk+3] from mt[kk..kk+4] and the four words ``far`` points at
+ * (mt[kk + M], or the already-regenerated mt[kk + M - N]): no lane reads
+ * a word another lane writes, since every dependence spans >= 227 words. */
+static inline void twist4(uint32_t *mt, uint32_t *out, int kk,
+                          const uint32_t *far) {
+    v4u y = (load4(mt + kk) & 0x80000000u) | (load4(mt + kk + 1) & 0x7fffffffu);
+    v4u v = load4(far) ^ (y >> 1) ^ (-(y & 1u) & 0x9908b0dfu);
+    memcpy(mt + kk, &v, sizeof v);
+    v = temper4(v);
+    memcpy(out + kk, &v, sizeof v);
+}
+
+static inline void twist1(uint32_t *mt, uint32_t *out, int kk, uint32_t far,
+                          uint32_t next) {
+    uint32_t y = (mt[kk] & 0x80000000u) | (next & 0x7fffffffu);
+    mt[kk] = far ^ (y >> 1) ^ (-(y & 1u) & 0x9908b0dfu);
+    out[kk] = temper(mt[kk]);
+}
+
+static __attribute__((noinline)) void twist(MT *st) {
+    uint32_t *mt = st->mt, *out = st->out;
+    int kk;
+    for (kk = 0; kk + 4 <= MT_N - MT_M; kk += 4)        /* 0..223 */
+        twist4(mt, out, kk, mt + kk + MT_M);
+    for (; kk < MT_N - MT_M; kk++)                      /* 224..226 */
+        twist1(mt, out, kk, mt[kk + MT_M], mt[kk + 1]);
+    for (; kk + 4 <= MT_N - 1; kk += 4)                 /* 227..622 */
+        twist4(mt, out, kk, mt + kk + (MT_M - MT_N));
+    twist1(mt, out, MT_N - 1, mt[MT_M - 1], mt[0]);
+    st->mti = 0;
+}
+
+/* Enter mid-block: temper the words still to be drawn from this state. */
+static void mt_init(MT *st, uint32_t *mtstate, int64_t mti) {
+    int64_t i;
+    st->mt = mtstate;
+    st->mti = mti;
+    for (i = mti; i < MT_N; i++)
+        st->out[i] = temper(mtstate[i]);
+}
+
+static inline uint32_t genrand(MT *st) {
+    if (__builtin_expect(st->mti >= MT_N, 0))
+        twist(st);
+    return st->out[st->mti++];
 }
 
 /* random() times 2^53: the integer k that genrand_res53 returns as k/2^53.
@@ -197,7 +262,7 @@ static inline __attribute__((always_inline)) long long event_loop(
     const long long *locks, long long *hot, long long *o_shape,
     long long *o_addr, long long *o_lock, long long *o_mis, const int emit)
 {
-    MT st = { mtstate, scal[6] };
+    MT st;
     int64_t remaining = scal[0], vr = scal[1], gc = scal[2], depth = scal[3];
     int64_t n_order = scal[4], hot_len = scal[5], pos = scal[10];
     const uint64_t alloc_p = thresh(cd[0]), ac_hi = thresh(cd[1]);
@@ -210,14 +275,22 @@ static inline __attribute__((always_inline)) long long event_loop(
     const uint64_t bump_p = thresh(0.25), call_p = thresh(0.6);
     const int64_t span_g = ci[0], span_p = ci[1], ws = ci[2];
     const int64_t min_keep = ci[3], size_low = ci[4], size_nslots = ci[5];
-    const int64_t cold_pool = ci[6], hot_max = ci[7];  /* hot_max <= 15 */
+    /* cold_pool <= MAX_COLD_POOL, hot_max <= 15 */
+    const int64_t cold_pool = ci[6], hot_max = ci[7];
     const int64_t globals_base = ci[8], global_lock = ci[9];
     /* Emitting: finish the event crossing the count.  Advancing only:
      * whole events while no event can cross it. */
     const int64_t floor = emit ? 1 : MAX_EVENT_OPS;
     int64_t reason = 0, freed_idx = -1, alloc_size = 0;
     int64_t get_pos = -1, set_pos = -1;
+    /* The cold-pool window: ``order``, ``rich`` and ``n_order`` only change
+     * at an allocation bounce, which ends the call, so its rich slots are
+     * listed once per call (on the first cold pointer access). */
+    const int64_t pool = n_order < cold_pool ? n_order : cold_pool;
+    const int64_t start = n_order - pool;
+    int64_t cold_rich[MAX_COLD_POOL], n_cold_rich = -1;
 
+    mt_init(&st, mtstate, scal[6]);
     while (remaining >= floor) {
         uint64_t roll = rnd53(&st);
         if (roll >= br_hi) {                           /* ALU op */
@@ -257,22 +330,17 @@ static inline __attribute__((always_inline)) long long event_loop(
                         slot = hot[randbelow(&st, hot_len)];
                     }
                 } else {
-                    int64_t pool = n_order < cold_pool ? n_order : cold_pool;
-                    int64_t start = n_order - pool;
                     if (cls == 0) {
-                        int64_t cnt = 0, j;
-                        for (j = start; j < n_order; j++)
-                            if (rich[order[j]])
-                                cnt++;
-                        if (cnt) {
-                            int64_t pick = randbelow(&st, cnt);
-                            for (j = start;; j++)
-                                if (rich[order[j]] && pick-- == 0)
-                                    break;
-                            slot = order[j];
-                        } else {
-                            slot = order[start + randbelow(&st, pool)];
+                        if (n_cold_rich < 0) {
+                            int64_t j;
+                            n_cold_rich = 0;
+                            for (j = start; j < n_order; j++)
+                                if (rich[order[j]])
+                                    cold_rich[n_cold_rich++] = order[j];
                         }
+                        slot = n_cold_rich
+                            ? cold_rich[randbelow(&st, n_cold_rich)]
+                            : order[start + randbelow(&st, pool)];
                     } else {
                         slot = order[start + randbelow(&st, pool)];
                     }
@@ -351,15 +419,16 @@ long long ff_emit(uint32_t *mtstate, long long *scal, const double *cd,
                       bases, locks, hot, 0, 0, 0, 0, 0);
 }
 
-/* Draw-compatibility probe: 8 doubles then 8 bounded draws, so the loader
- * can verify this kernel against random.Random before trusting it. */
-long long ff_selftest(uint32_t *mtstate, long long *mti_io, double *dout,
-                      long long *iout)
+/* Draw-compatibility probe: ``n_d`` doubles then 8 bounded draws, so the
+ * loader can verify this kernel against random.Random before trusting it. */
+long long ff_selftest(uint32_t *mtstate, long long *mti_io, long long n_d,
+                      double *dout, long long *iout)
 {
-    MT st = { mtstate, *mti_io };
+    MT st;
     static const int64_t ns[8] = {6, 1, 192, 8192, 13, 7, 4096, 2000000};
-    int i;
-    for (i = 0; i < 8; i++)
+    long long i;
+    mt_init(&st, mtstate, *mti_io);
+    for (i = 0; i < n_d; i++)
         dout[i] = rnd53(&st) * (1.0 / 9007199254740992.0);
     for (i = 0; i < 8; i++)
         iout[i] = randbelow(&st, ns[i]);
@@ -373,21 +442,37 @@ def _bind(so_path: Path):
     lib.ff_emit.restype = ctypes.c_longlong
     lib.ff_emit.argtypes = [ctypes.c_void_p] * 15
     lib.ff_selftest.restype = ctypes.c_longlong
-    lib.ff_selftest.argtypes = [ctypes.c_void_p] * 4
+    lib.ff_selftest.argtypes = [ctypes.c_void_p, ctypes.c_void_p,
+                                ctypes.c_longlong, ctypes.c_void_p,
+                                ctypes.c_void_p]
     return lib
 
 
+#: Words the self-test advances ``random.Random`` by before the kernel takes
+#: over (entering mid-block), and the doubles (two words each) it then draws,
+#: across the next two twists.
+_SELFTEST_SKIP_WORDS = 601
+_SELFTEST_DOUBLES = 360
+
+
 def _self_test(lib) -> bool:
-    """The kernel's RNG must reproduce random.Random draw for draw."""
+    """The kernel's RNG must reproduce random.Random draw for draw.
+
+    The probe enters from a mid-block state, so the tempering of the
+    block's remaining words on entry and the regeneration of whole blocks
+    are both checked, along with the state handed back.
+    """
     rng = random.Random(987654321)
+    rng.getrandbits(32 * _SELFTEST_SKIP_WORDS)
     state = rng.getstate()
     mt = array("I", state[1][:624])
     mti = array("q", [state[1][624]])
-    dout = array("d", [0.0] * 8)
+    dout = array("d", [0.0] * _SELFTEST_DOUBLES)
     iout = array("q", [0] * 8)
     lib.ff_selftest(mt.buffer_info()[0], mti.buffer_info()[0],
-                    dout.buffer_info()[0], iout.buffer_info()[0])
-    expected_d = [rng.random() for _ in range(8)]
+                    _SELFTEST_DOUBLES, dout.buffer_info()[0],
+                    iout.buffer_info()[0])
+    expected_d = [rng.random() for _ in range(_SELFTEST_DOUBLES)]
     expected_i = [rng._randbelow(n)
                   for n in (6, 1, 192, 8192, 13, 7, 4096, 2000000)]
     end_state = rng.getstate()

@@ -139,11 +139,14 @@ class WorkloadCore:
 
         Called from ``__init__`` and again from ``__setstate__`` (the kernel
         handle and buffers are not picklable).  The kernel's in-place hot
-        buffer holds 16 slots, so hot sets beyond 15 entries (no in-tree
-        workload comes close) fall back to the pure-Python loop.
+        buffer holds 16 slots and its cold-pool candidate list
+        ``MAX_COLD_POOL``, so hot sets beyond 15 entries or larger cold pools
+        (no in-tree workload comes close) fall back to the pure-Python loop.
         """
         profile = self.profile
-        self._ffcore = _ffcore.load() if self.HOT_SET_OBJECTS <= 15 else None
+        fits = (self.HOT_SET_OBJECTS <= 15
+                and self.COLD_POOL_OBJECTS <= _ffcore.MAX_COLD_POOL)
+        self._ffcore = _ffcore.load() if fits else None
         if self._ffcore is None:
             return
         self._c_scalars = array("q", [0] * _ffcore.SCAL_SLOTS)
@@ -372,6 +375,10 @@ class WorkloadCore:
             put_lock = op_locks.append
             put_mis = mis.append
         floor = 1 if emit else MAX_EVENT_OPS
+        # Rich slots of the cold-pool window, listed on the first cold
+        # pointer access and dropped by every allocation event (the only
+        # thing that moves the window), like the kernel's per-call list.
+        cold_rich = None
 
         def runtime_call(vr, ident_base, lock):
             """Six ALU ops, then the ident op on a drawn pointer register."""
@@ -446,8 +453,11 @@ class WorkloadCore:
                         pool = n if n < cold_pool else cold_pool
                         start = n - pool
                         if cls == 0:
-                            cands = [s for s in order[start:] if rich[s]]
-                            slot = cands[randbelow(len(cands))] if cands \
+                            if cold_rich is None:
+                                cold_rich = [s for s in order[start:]
+                                             if rich[s]]
+                            slot = cold_rich[randbelow(len(cold_rich))] \
+                                if cold_rich \
                                 else order[start + randbelow(pool)]
                         else:
                             slot = order[start + randbelow(pool)]
@@ -496,6 +506,7 @@ class WorkloadCore:
                     put_lock(NO_ADDRESS); put_mis(0)
                 remaining -= 1
             else:  # allocation event
+                cold_rich = None
                 n = len(order)
                 if n >= ws and n > min_keep:
                     slot = self._free_slot(randbelow(n))

@@ -324,6 +324,27 @@ class TestFastForwardEquivalence:
             fallback.fast_forward(count)
             assert state_fingerprint(native) == state_fingerprint(fallback)
 
+    @native_only
+    def test_cold_pool_window_matches_pure_python_on_mcf_paper(self):
+        """The kernel's once-per-call cold-pool candidates, on busy traffic.
+
+        ``mcf-paper`` keeps 12,288 live objects and aims 40% of its memory
+        ops at pointers, so the cold-pool window slides after every
+        allocation bounce while cold pointer accesses keep drawing from it.
+        Skip windows of lengths that are no multiple of the 624-word MT
+        block cover over 60k ops, then one window is emitted: the native
+        and the Python emitter must agree on its columns and on the state.
+        """
+        profile = profile_by_name("mcf-paper")
+        native = SyntheticWorkload(profile, seed=5)
+        python = python_emitter(profile, seed=5)
+        assert native._ffcore is not None
+        for window in (1_001, 6_203, 17_389, 35_555):
+            native.fast_forward(window)
+            python.fast_forward(window)
+        assert columns(native.emit(2_501)) == columns(python.emit(2_501))
+        assert state_fingerprint(native) == state_fingerprint(python)
+
     def test_generate_refuses_to_drop_pending_ops(self):
         workload = SyntheticWorkload(profile_by_name("perl"), seed=1)
         while not workload._pending:

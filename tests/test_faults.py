@@ -402,6 +402,9 @@ class TestKernelFaults:
     def test_selftest_fault_refuses_kernel_with_reason(self, monkeypatch):
         from repro.workloads import _ffcore
 
+        # The kill switch wins over the injected fault; clear it so the
+        # fault path under test runs in the REPRO_FFCORE=0 fallback job too.
+        monkeypatch.delenv("REPRO_FFCORE", raising=False)
         monkeypatch.setenv("REPRO_FAULTS", "selftest:ffcore")
         build.forget("ffcore")
         build._WARNED.discard("ffcore")
@@ -431,6 +434,8 @@ class TestKernelFaults:
             self, monkeypatch):
         from repro.native import _timecore
 
+        # As above, for the REPRO_TIMECORE=0 fallback job.
+        monkeypatch.delenv("REPRO_TIMECORE", raising=False)
         monkeypatch.setenv("REPRO_FAULTS", "selftest:timecore")
         build.forget("timecore")
         build._WARNED.add("timecore")  # already-warned: keep the test quiet

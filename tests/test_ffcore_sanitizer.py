@@ -24,10 +24,11 @@ from repro.workloads import _ffcore
 UBSAN_FLAGS = ("-O2", "-fPIC", "-shared", "-fsanitize=undefined",
                "-fno-sanitize-recover")
 
-#: The tests exercising window partitions, 1-op splits of allocation events
-#: and every event-overrun length, native against the Python emitter.
+#: The tests exercising window partitions, 1-op splits of allocation events,
+#: every event-overrun length and the sliding cold-pool window, native
+#: against the Python emitter.
 SELECTION = ("partitions or splits_allocation or every_window_size "
-             "or native_kernel_matches")
+             "or native_kernel_matches or cold_pool_window")
 
 CHECK = """
 import sys
