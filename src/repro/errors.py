@@ -25,6 +25,15 @@ class ProgramError(ReproError):
     """A program (IR or macro-instruction stream) is malformed."""
 
 
+class CompiledTraceUnsupported(ProgramError):
+    """The trace contains a shape the compiled pipeline does not pack.
+
+    Raised for instructions with more than two register (or metadata)
+    sources, and for µops whose fields overflow the packed word format; the
+    simulator falls back to the reference object pipeline.
+    """
+
+
 class SimulationError(ReproError):
     """The simulator reached an inconsistent internal state."""
 

@@ -58,8 +58,8 @@ class Cache:
         #: 16384 sets, and eagerly building an OrderedDict for each made
         #: hierarchy construction a measurable per-simulation cost.
         self._sets: Dict[int, OrderedDict] = {}
-        # Geometry bound to plain attributes: the hot paths (and the
-        # hierarchy's batch loops) must not pay a property call per access.
+        # Geometry bound to plain attributes: the hot paths (and the native
+        # kernel's arena marshalling) must not pay a property call per access.
         self._num_sets = config.num_sets
         self._block_bytes = config.block_bytes
         self._assoc = config.associativity

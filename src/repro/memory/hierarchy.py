@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -55,6 +54,8 @@ PORT_CODES = {PortKind.DATA: PORT_DATA, PortKind.LOCK: PORT_LOCK,
               PortKind.SHADOW: PORT_SHADOW}
 SPEC_WRITE = 4
 SPEC_USE_LATENCY = 8
+#: Port code -> :class:`PortKind`, for decoding packed access specs.
+_SPEC_PORTS = (PortKind.DATA, PortKind.LOCK, PortKind.SHADOW)
 
 
 @dataclass(frozen=True)
@@ -114,8 +115,7 @@ class HierarchyStats:
         self._latency = [0] * len(_STAT_KINDS)
         #: Per-core attribution of shared-level traffic (see
         #: :data:`_SHARED_KEYS`).  The demand paths fold into it; warm-up
-        #: traffic is folded only where both the Python and native paths
-        #: count it (L2/L3), and callers reset stats after warming anyway.
+        #: resets it with every other statistic.
         self.shared = dict.fromkeys(_SHARED_KEYS, 0)
 
     def record(self, kind: str, latency: int) -> None:
@@ -206,8 +206,9 @@ class MemoryHierarchy:
 
     #: Per-instance override for the native timing core on the batch paths:
     #: ``None`` defers to the kernel's availability (and its
-    #: ``REPRO_TIMECORE`` kill switch), ``False`` forces the Python loops,
-    #: ``True`` is merely an explicit "use it when available".
+    #: ``REPRO_TIMECORE`` kill switch), ``False`` forces the per-access
+    #: :meth:`access` loop, ``True`` is merely an explicit "use it when
+    #: available".
     native_override: Optional[bool] = None
 
     def __init__(self, config: Optional[HierarchyConfig] = None,
@@ -311,10 +312,9 @@ class MemoryHierarchy:
     # The compiled pipeline separates hierarchy replay from µop scheduling:
     # the access *order* of a timed µop stream is its program order, so all
     # cache/TLB/prefetcher state transitions — and the load latencies the
-    # scheduler needs — can be produced in one tight pass.  The two methods
-    # below are semantically identical to calling :meth:`access` once per
-    # element in sequence; they inline the L1/TLB hit paths and keep the
-    # counters in locals, which is where the per-access overhead lives.
+    # scheduler needs — can be produced in one pass.  Both methods below are
+    # a plain loop over :meth:`access` unless the native timing core takes
+    # the whole batch (bit-identical by its load-time self-test).
 
     def access_batch(self, addrs, specs, positions, lats) -> None:
         """Replay a demand-access sequence, filling per-µop load latencies.
@@ -323,309 +323,49 @@ class MemoryHierarchy:
         access; accesses with the use-latency bit store their latency into
         ``lats[positions[i]]`` (loads); the rest only update hierarchy state
         and statistics (stores retire at fixed latency off the critical
-        path).  State transitions and statistics are bit-identical to the
+        path).  State transitions and statistics are exactly those of the
         equivalent :meth:`access` sequence.
 
         When the native timing core is available (and not overridden off),
-        the whole batch is replayed by the C kernel instead — with identical
-        results by construction (see :mod:`repro.native._timecore`).  The
-        stream compiler hands in ``array("q")`` columns, which the kernel
-        consumes with zero per-batch marshalling; any other sequence type
-        is converted on entry.
+        the whole batch is replayed by the C kernel instead (see
+        :mod:`repro.native._timecore`).  The stream compiler hands in
+        ``array("q")`` columns, which the kernel consumes with zero
+        per-batch marshalling; any other sequence type is converted on entry.
         """
-        if len(addrs) and self.native_override is not False:
-            from repro.native import _timecore
-            lib = _timecore.load()
-            if lib is not None:
-                self._batch_native(lib, addrs, specs, positions, lats, True)
-                return
-        if self._tc_dirty():
-            self._tc_sync()
-        config = self.config
-        lock_en = config.lock_cache_enabled
-        ideal = config.ideal_shadow
-        l1 = self.l1d
-        l1_sets = l1._sets
-        l1_nsets = l1.config.num_sets
-        l1_bb = l1.config.block_bytes
-        l1_assoc = l1.config.associativity
-        l1_lat = config.l1d.hit_latency
-        l1_hits = l1_misses = l1_evd = l1_wb = 0
-        lk = self.lock_cache
-        lk_sets = lk._sets
-        lk_nsets = lk.config.num_sets
-        lk_bb = lk.config.block_bytes
-        lk_assoc = lk.config.associativity
-        lk_lat = config.lock_cache.hit_latency
-        lk_hits = lk_misses = lk_evd = lk_wb = 0
-        l3 = self.l3
-        l3_sets = l3._sets
-        l3_nsets = l3.config.num_sets
-        l3_bb = l3.config.block_bytes
-        l3_assoc = l3.config.associativity
-        l3_evd = l3_wb = 0
-        dtlb = self.dtlb
-        dtlb_map = dtlb._entries
-        dtlb_pb = dtlb.config.page_bytes
-        dtlb_cap = dtlb.config.entries
-        dtlb_pen = dtlb.config.miss_penalty
-        dtlb_hits = dtlb_misses = 0
-        ltlb = self.lock_tlb
-        ltlb_map = ltlb._entries
-        ltlb_pb = ltlb.config.page_bytes
-        ltlb_cap = ltlb.config.entries
-        ltlb_pen = ltlb.config.miss_penalty
-        ltlb_hits = ltlb_misses = 0
-        dtlb_last = ltlb_last = -1
-        beyond = self._access_beyond_l1
-        prefetch = self.l1d_prefetcher.on_miss
-        counts = [0, 0, 0]
-        waits = [0, 0, 0]
-
+        lib = self._native_lib(addrs)
+        if lib is not None:
+            self._batch_native(lib, addrs, specs, positions, lats, True)
+            return
+        access = self.access
         for a, spec, pos in zip(addrs, specs, positions):
-            port = spec & 3
-            if port == 1 and lock_en:
-                # -- dedicated lock location cache (no L1 prefetcher) -------
-                page = a // ltlb_pb
-                if page == ltlb_last:
-                    ltlb_hits += 1
-                    lat = lk_lat
-                elif page in ltlb_map:
-                    ltlb_map.move_to_end(page)
-                    ltlb_hits += 1
-                    ltlb_last = page
-                    lat = lk_lat
-                else:
-                    ltlb_misses += 1
-                    if len(ltlb_map) >= ltlb_cap:
-                        ltlb_map.popitem(last=False)
-                    ltlb_map[page] = True
-                    ltlb_last = page
-                    lat = ltlb_pen + lk_lat
-                block = a // lk_bb
-                idx = block % lk_nsets
-                cset = lk_sets.get(idx)
-                if cset is None:
-                    cset = lk_sets[idx] = OrderedDict()
-                if block in cset:
-                    cset.move_to_end(block)
-                    lk_hits += 1
-                    if spec & 4:
-                        cset[block] = True
-                else:
-                    lk_misses += 1
-                    if len(cset) >= lk_assoc:
-                        _, dirty = cset.popitem(last=False)
-                        lk_evd += 1
-                        if dirty:
-                            lk_wb += 1
-                    cset[block] = True if spec & 4 else False
-                    lat += beyond(a, bool(spec & 4))
-            elif port == 2 and ideal:
-                # Idealized shadow: a port-occupying L1 hit, no allocation.
-                lat = l1_lat
-                counts[2] += 1
-                waits[2] += lat
-                if spec & 8:
-                    lats[pos] = lat
-                continue
-            else:
-                # -- the L1 data cache (data, shadow, lock-on-data) ----------
-                page = a // dtlb_pb
-                if page == dtlb_last:
-                    dtlb_hits += 1
-                    lat = l1_lat
-                elif page in dtlb_map:
-                    dtlb_map.move_to_end(page)
-                    dtlb_hits += 1
-                    dtlb_last = page
-                    lat = l1_lat
-                else:
-                    dtlb_misses += 1
-                    if len(dtlb_map) >= dtlb_cap:
-                        dtlb_map.popitem(last=False)
-                    dtlb_map[page] = True
-                    dtlb_last = page
-                    lat = dtlb_pen + l1_lat
-                block = a // l1_bb
-                idx = block % l1_nsets
-                cset = l1_sets.get(idx)
-                if cset is None:
-                    cset = l1_sets[idx] = OrderedDict()
-                if block in cset:
-                    cset.move_to_end(block)
-                    l1_hits += 1
-                    if spec & 4:
-                        cset[block] = True
-                else:
-                    l1_misses += 1
-                    if len(cset) >= l1_assoc:
-                        _, dirty = cset.popitem(last=False)
-                        l1_evd += 1
-                        if dirty:
-                            l1_wb += 1
-                    cset[block] = True if spec & 4 else False
-                    prefetch(a)
-                    lat += beyond(a, bool(spec & 4))
-            # inclusive L3 install (demand accesses of every class)
-            block = a // l3_bb
-            idx = block % l3_nsets
-            cset = l3_sets.get(idx)
-            if cset is None:
-                cset = l3_sets[idx] = OrderedDict()
-            if block in cset:
-                cset.move_to_end(block)
-            else:
-                if len(cset) >= l3_assoc:
-                    _, dirty = cset.popitem(last=False)
-                    l3_evd += 1
-                    if dirty:
-                        l3_wb += 1
-                cset[block] = False
-            counts[port] += 1
-            waits[port] += lat
-            if spec & 8:
-                lats[pos] = lat
-
-        # -- merge local counters back into the shared statistics ------------
-        l1.hits += l1_hits
-        l1.misses += l1_misses
-        l1.evictions += l1_evd
-        l1.writebacks += l1_wb
-        lk.hits += lk_hits
-        lk.misses += lk_misses
-        lk.evictions += lk_evd
-        lk.writebacks += lk_wb
-        shared = self.stats.shared
-        shared["lock_hits"] += lk_hits
-        shared["lock_misses"] += lk_misses
-        shared["lock_evictions"] += lk_evd
-        shared["lock_writebacks"] += lk_wb
-        l3.evictions += l3_evd
-        l3.writebacks += l3_wb
-        dtlb.hits += dtlb_hits
-        dtlb.misses += dtlb_misses
-        ltlb.hits += ltlb_hits
-        ltlb.misses += ltlb_misses
-        names = ("data",
-                 "lock" if lock_en else "lock-on-data",
-                 "shadow-ideal" if ideal else "shadow")
-        for code in (0, 1, 2):
-            if counts[code]:
-                self.stats.fold(names[code], counts[code], waits[code])
+            latency = access(a, spec & SPEC_WRITE != 0, _SPEC_PORTS[spec & 3])
+            if spec & SPEC_USE_LATENCY:
+                lats[pos] = latency
 
     def warm_batch(self, addrs, specs) -> None:
-        """Replay accesses for warm-up: state transitions only, no counters.
+        """Replay accesses for warm-up: cache, TLB and prefetcher state only.
 
-        Callers reset every statistic right after warming, so only cache,
-        TLB and prefetcher *state* is observable — skipping the counters
-        makes the warm-up replay considerably cheaper.  ``specs`` is either
-        a per-access sequence or one int applied to every address.  Shadow
-        accesses under the ideal-shadow ablation change no state and are
-        skipped entirely (matching :meth:`access`).
+        Every statistic is reset afterwards, so only the state the accesses
+        leave behind is observable.  ``specs`` is either a per-access
+        sequence or one int applied to every address.
         """
-        if len(addrs) and self.native_override is not False:
-            from repro.native import _timecore
-            lib = _timecore.load()
-            if lib is not None:
-                self._batch_native(lib, addrs, specs, None, None, False)
-                return
-        if self._tc_dirty():
-            self._tc_sync()
-        if isinstance(specs, int):
-            specs = itertools.repeat(specs)
-        config = self.config
-        lock_en = config.lock_cache_enabled
-        ideal = config.ideal_shadow
-        l1 = self.l1d
-        l1_sets = l1._sets
-        l1_nsets = l1.config.num_sets
-        l1_bb = l1.config.block_bytes
-        l1_assoc = l1.config.associativity
-        lk = self.lock_cache
-        lk_sets = lk._sets
-        lk_nsets = lk.config.num_sets
-        lk_bb = lk.config.block_bytes
-        lk_assoc = lk.config.associativity
-        l3 = self.l3
-        l3_sets = l3._sets
-        l3_nsets = l3.config.num_sets
-        l3_bb = l3.config.block_bytes
-        l3_assoc = l3.config.associativity
-        dtlb_map = self.dtlb._entries
-        dtlb_pb = self.dtlb.config.page_bytes
-        dtlb_cap = self.dtlb.config.entries
-        ltlb_map = self.lock_tlb._entries
-        ltlb_pb = self.lock_tlb.config.page_bytes
-        ltlb_cap = self.lock_tlb.config.entries
-        dtlb_last = ltlb_last = -1
-        beyond = self._access_beyond_l1
-        prefetch = self.l1d_prefetcher.on_miss
+        lib = self._native_lib(addrs)
+        if lib is not None:
+            self._batch_native(lib, addrs, specs, None, None, False)
+        else:
+            if isinstance(specs, int):
+                specs = itertools.repeat(specs)
+            access = self.access
+            for a, spec in zip(addrs, specs):
+                access(a, spec & SPEC_WRITE != 0, _SPEC_PORTS[spec & 3])
+        self.reset_stats()
 
-        for a, spec in zip(addrs, specs):
-            port = spec & 3
-            if port == 1 and lock_en:
-                page = a // ltlb_pb
-                if page != ltlb_last:
-                    if page in ltlb_map:
-                        ltlb_map.move_to_end(page)
-                    else:
-                        if len(ltlb_map) >= ltlb_cap:
-                            ltlb_map.popitem(last=False)
-                        ltlb_map[page] = True
-                    ltlb_last = page
-                block = a // lk_bb
-                idx = block % lk_nsets
-                cset = lk_sets.get(idx)
-                if cset is None:
-                    cset = lk_sets[idx] = OrderedDict()
-                if block in cset:
-                    cset.move_to_end(block)
-                    if spec & 4:
-                        cset[block] = True
-                else:
-                    if len(cset) >= lk_assoc:
-                        cset.popitem(last=False)
-                    cset[block] = True if spec & 4 else False
-                    beyond(a, bool(spec & 4))
-            elif port == 2 and ideal:
-                continue
-            else:
-                page = a // dtlb_pb
-                if page != dtlb_last:
-                    if page in dtlb_map:
-                        dtlb_map.move_to_end(page)
-                    else:
-                        if len(dtlb_map) >= dtlb_cap:
-                            dtlb_map.popitem(last=False)
-                        dtlb_map[page] = True
-                    dtlb_last = page
-                block = a // l1_bb
-                idx = block % l1_nsets
-                cset = l1_sets.get(idx)
-                if cset is None:
-                    cset = l1_sets[idx] = OrderedDict()
-                if block in cset:
-                    cset.move_to_end(block)
-                    if spec & 4:
-                        cset[block] = True
-                else:
-                    if len(cset) >= l1_assoc:
-                        cset.popitem(last=False)
-                    cset[block] = True if spec & 4 else False
-                    prefetch(a)
-                    beyond(a, bool(spec & 4))
-            block = a // l3_bb
-            idx = block % l3_nsets
-            cset = l3_sets.get(idx)
-            if cset is None:
-                cset = l3_sets[idx] = OrderedDict()
-            if block in cset:
-                cset.move_to_end(block)
-            else:
-                if len(cset) >= l3_assoc:
-                    cset.popitem(last=False)
-                cset[block] = False
+    def _native_lib(self, addrs):
+        """The loaded timing core for a non-empty batch, else ``None``."""
+        if not len(addrs) or self.native_override is False:
+            return None
+        from repro.native import _timecore
+        return _timecore.load()
 
     def _batch_native(self, lib, addrs, specs, positions, lats,
                       collect: bool) -> None:

@@ -11,30 +11,29 @@ interpreter at a few hundred thousand µops per second.  This module compiles
 them to a small C kernel through the shared :mod:`repro.native.build`
 machinery (system cc, first use, cached on disk, self-tested at load).
 
-The kernel consumes exactly the structures the Python loops consume:
-
 * ``hier_batch`` — the flattened int64 form of the OrderedDict cache sets,
   TLBs and prefetcher streams (see ``MemoryHierarchy._batch_native``, which
   exports the state, runs the kernel and imports it back), plus the packed
   ``(addrs, specs, positions)`` access sequence, writing latencies into
   ``lats`` and counter deltas into a counter block.  One entry point serves
   both the counted (``access_batch``) and warm-up (``warm_batch``) variants,
-  toggled by the ``collect`` config slot.
+  toggled by the ``collect`` config slot.  It reproduces the state
+  transitions of calling :meth:`MemoryHierarchy.access` once per element.
 * ``sched_run`` — per-µop words (flags, cost and the six register-slot
   operands in one int64 each), the post-hierarchy latency array, the
   flattened port-pool free times, and ring buffers for the ROB/IQ/LQ/SQ
   occupancy queues.  The stream compiler emits these words directly
-  (:meth:`repro.sim.compiled.StreamCompiler.compile_measured`), so
-  :func:`pack_stream` is normally just a view; streams that predate the
-  flat form (or hand-built test streams) are packed through the
-  ``pack_words`` entry point, or the Python loop when no kernel is loaded.
+  (:meth:`repro.sim.compiled.StreamCompiler.compile_measured`, through
+  :func:`pack_entry_words`), so the kernel takes ``CompiledStream.words``
+  as built.  It is a statement-for-statement replica of the Python array
+  scheduler (``OutOfOrderCore._schedule_python``).
 
-Both are replicas of the Python loops, statement for statement — every
-counter, LRU movement, latency and stall decision lands on the same value,
-and the load-time self-test plus the timecore golden tests enforce
-bit-identical ``TimingResult``/``HierarchyStats`` output.  The kernel is
-strictly optional: ``REPRO_TIMECORE=0``, a missing compiler, a failed build
-or a failed self-test all fall back to the Python loops silently.
+Every counter, LRU movement, latency and stall decision lands on the same
+value as the Python path: the load-time self-test plus the timecore golden
+tests enforce bit-identical ``TimingResult``/``HierarchyStats`` output.  The
+kernel is strictly optional: ``REPRO_TIMECORE=0``, a missing compiler, a
+failed build or a failed self-test all fall back to the Python path
+silently.
 """
 
 from __future__ import annotations
@@ -45,6 +44,7 @@ from array import array
 from collections import OrderedDict
 from pathlib import Path
 
+from repro.errors import CompiledTraceUnsupported
 from repro.native import build
 
 #: Number of int64 counter slots ``hier_batch`` accumulates into (layout
@@ -58,9 +58,10 @@ CFG_STRIDE = 3
 _SOURCE = r"""
 /* Native timing core: batched hierarchy replay + the array scheduler.
  *
- * Replicates repro.memory.hierarchy.MemoryHierarchy.access_batch/warm_batch
- * and repro.pipeline.core.OutOfOrderCore.simulate_compiled statement for
- * statement.  Any change to those Python loops must be mirrored here (the
+ * hier_batch reproduces a sequence of
+ * repro.memory.hierarchy.MemoryHierarchy.access calls; sched_run replicates
+ * repro.pipeline.core.OutOfOrderCore._schedule_python statement for
+ * statement.  Any change to those Python paths must be mirrored here (the
  * load-time self-test and the timecore golden tests enforce equality).
  *
  * State encoding (produced by the run_batch marshaller in _timecore.py):
@@ -86,11 +87,10 @@ _SOURCE = r"""
  *   20 l1-prefetches issued, 21 l2-prefetches issued,
  *   22-24 class access counts (data, lock, shadow),  25-27 class latency.
  *
- * collect=0 is warm_batch: identical state transitions, but the counters
- * the Python warm loop skips (L1/lock demand + TLB + L3-install) stay
- * untouched, while everything routed through the shared lookup/prefetch
- * methods (L2/L3 demand, prefetch issue) still counts — reset_stats()
- * erases them right after, exactly as in Python.
+ * collect=0 is warm_batch: identical state transitions, but the L1/lock
+ * demand, TLB and L3-install counters stay untouched (L2/L3 demand and
+ * prefetch issue still count).  warm_batch resets every statistic right
+ * after, so no warm-up counter is ever observed.
  */
 #include <stdint.h>
 #include <string.h>
@@ -224,8 +224,7 @@ static void pf_on_miss(i64 *pf, i64 streams, i64 depth, i64 *ways, i64 nsets,
 
 /* MemoryHierarchy._access_beyond_l1: L2 demand (prefetcher on miss), then
  * L3 demand, then DRAM; returns the added latency.  L2/L3 counters always
- * accumulate — the Python warm loop routes through the same shared
- * Cache.lookup / prefetcher methods. */
+ * accumulate, warm-up included. */
 static i64 beyond_l1(const i64 *cfg, i64 *ctr, i64 *l2w, i64 *l3w, i64 *pf2,
                      i64 a, i64 write)
 {
@@ -384,35 +383,12 @@ long long warm_fill(i64 *ways, i64 nsets, i64 assoc, i64 block_bytes,
     return 0;
 }
 
-/* pack_stream's per-row packing for legacy tuple streams: rows holds n
- * consecutive (flags, cost, dest, s0, s1, md, ms0, ms1) octets; each row
- * becomes one packed word in out (format documented at sched_run below).
- * Returns 0, or -1 as soon as any field exceeds its width — the caller
- * then marks the stream tuple-only and the Python scheduler (which has no
- * field-width limits) takes over, exactly as the Python packer does. */
-long long pack_words(const long long *rows, long long n, long long *out)
-{
-    i64 k;
-    for (k = 0; k < n; k++) {
-        const i64 *r = rows + 8 * k;
-        i64 flags = r[0], cost = r[1];
-        i64 d = r[2] + 1, a = r[3] + 1, b = r[4] + 1;
-        i64 m = r[5] + 1, x = r[6] + 1, y = r[7] + 1;
-        if ((d | a | b | m | x | y) & ~63LL || flags & ~511LL
-                || cost & ~63LL)
-            return -1;
-        out[k] = flags | cost << 9 | d << 15 | a << 21 | b << 27
-                 | m << 33 | x << 39 | y << 45;
-    }
-    return 0;
-}
-
 /* OutOfOrderCore.simulate_compiled's integer scheduler.
  *
- * uops[k] packs one µop (pack_stream): bits 0-8 flags (kind code | LQ 32 |
- * SQ 64 | branch 128 | mispredict 256), bits 9-14 µop cost, then six 6-bit
- * register-slot fields (value + 1; 0 = none) for dest, s0, s1, meta-dest,
- * ms0, ms1 at bits 15/21/27/33/39/45.
+ * uops[k] packs one µop (pack_entry_words): bits 0-8 flags (kind code |
+ * LQ 32 | SQ 64 | branch 128 | mispredict 256), bits 9-14 µop cost, then
+ * six 6-bit register-slot fields (value + 1; 0 = none) for dest, s0, s1,
+ * meta-dest, ms0, ms1 at bits 15/21/27/33/39/45.
  *
  * cfg: 0 dispatch_width, 1 dispatch_latency, 2 commit_width,
  *      3 mispredict_penalty, 4 first dispatch cycle (fetch+rename),
@@ -622,61 +598,39 @@ def _bind(so_path: Path):
     lib.occ_scan.argtypes = [p, q, q, p]
     lib.warm_fill.restype = q
     lib.warm_fill.argtypes = [p, q, q, q, q, p]
-    lib.pack_words.restype = q
-    lib.pack_words.argtypes = [p, q, p]
     lib.sched_run.restype = q
     lib.sched_run.argtypes = [p, p, p, q] + [p] * 11
     return lib
 
 
 def pack_entry_words(uops):
-    """Pack per-µop tuples into kernel words, or ``None`` on overflow.
+    """Pack per-µop ``(flags, cost, dest, s0, s1, md, ms0, ms1)`` tuples
+    into kernel words (layout at ``sched_run`` in the C source).
 
-    The pure-Python packer: used by the stream compiler to pre-pack each
-    template's entries at build time, and by :func:`pack_stream` for legacy
-    tuple streams when no kernel is loaded.
+    Raises :class:`~repro.errors.CompiledTraceUnsupported` when a field
+    overflows its width (a register slot outside -1..62, flags outside
+    0..511 or a cost outside 0..63); the simulator then falls back to the
+    reference pipeline.
     """
     words = array("q", bytes(8 * len(uops)))
-    i = 0
-    try:
-        for flags, cost, dest, s0, s1, md, ms0, ms1 in uops:
-            d = dest + 1
-            a = s0 + 1
-            b = s1 + 1
-            m = md + 1
-            x = ms0 + 1
-            y = ms1 + 1
-            # Nonzero iff any slot is outside 0..63 (i.e. -1..62 pre-shift),
-            # flags outside 0..511 or cost outside 0..63.
-            if (d | a | b | m | x | y) & -64 or flags & -512 or cost & -64:
-                return None
-            words[i] = (flags | cost << 9 | d << 15 | a << 21 | b << 27
-                        | m << 33 | x << 39 | y << 45)
-            i += 1
-    except (OverflowError, ValueError, TypeError):
-        return None
+    for i, (flags, cost, dest, s0, s1, md, ms0, ms1) in enumerate(uops):
+        d = dest + 1
+        a = s0 + 1
+        b = s1 + 1
+        m = md + 1
+        x = ms0 + 1
+        y = ms1 + 1
+        # Nonzero iff any slot is outside 0..63 (i.e. -1..62 pre-shift),
+        # flags outside 0..511 or cost outside 0..63.
+        if (d | a | b | m | x | y) & -64 or flags & -512 or cost & -64:
+            raise CompiledTraceUnsupported(
+                f"µop fields {uops[i]} overflow the packed word format")
+        words[i] = (flags | cost << 9 | d << 15 | a << 21 | b << 27
+                    | m << 33 | x << 39 | y << 45)
     return words
 
 
-def _pack_rows_native(lib, uops):
-    """Pack per-µop tuples through the C ``pack_words`` entry point."""
-    try:
-        rows = array("q")
-        extend = rows.extend
-        for entry in uops:
-            extend(entry)
-        if len(rows) != 8 * len(uops):
-            return None
-    except (OverflowError, ValueError, TypeError):
-        return None
-    out = array("q", bytes(8 * len(uops)))
-    if lib.pack_words(rows.buffer_info()[0], len(uops),
-                      out.buffer_info()[0]):
-        return None
-    return out
-
-
-def unpack_words(words):
+def unpack_entry_words(words):
     """Per-µop ``(flags, cost, dest, s0, s1, md, ms0, ms1)`` tuples of
     packed kernel words (the inverse of :func:`pack_entry_words`)."""
     return [(w & 511, (w >> 9) & 63,
@@ -684,40 +638,6 @@ def unpack_words(words):
              ((w >> 27) & 63) - 1, ((w >> 33) & 63) - 1,
              ((w >> 39) & 63) - 1, ((w >> 45) & 63) - 1)
             for w in words]
-
-
-def pack_stream(stream, lib=None):
-    """The kernel form of a compiled stream, or ``None`` when unpackable.
-
-    Returns ``(words, lat_template, mem_pos, mem_addr, mem_spec, core)`` —
-    int64 arrays plus the stream's core id.  Streams from the compiler
-    already carry the flat form (``stream.words``), so this is just a view;
-    the residual tuple-stream paths (hand-built test streams, overflow
-    fallbacks probed again) pack through the C ``pack_words`` entry when
-    ``lib`` is given, the Python loop otherwise, memoized on the stream.
-    A µop whose cost or register slots exceed the packed field widths makes
-    the whole stream unpackable — the caller falls back to the Python
-    scheduler, which has no such limits.  Callers must copy the latency
-    array before mutating it: flat streams hand out their own arenas.
-    """
-    words = getattr(stream, "words", None)
-    if words is not None:
-        return (words, stream.lat_template, stream.mem_pos,
-                stream.mem_addr, stream.mem_spec, getattr(stream, "core", 0))
-    cached = stream.__dict__.get("_tc_packed")
-    if cached is not None:
-        return cached or None
-    uops = stream.uops
-    words = (_pack_rows_native(lib, uops) if lib is not None
-             else pack_entry_words(uops))
-    if words is None:
-        stream.__dict__["_tc_packed"] = False
-        return None
-    packed = (words, array("q", stream.lat_template),
-              array("q", stream.mem_pos), array("q", stream.mem_addr),
-              array("q", stream.mem_spec), getattr(stream, "core", 0))
-    stream.__dict__["_tc_packed"] = packed
-    return packed
 
 
 #: Reusable int64 arenas.  String keys are per-role scratch arenas ("occ",
@@ -997,8 +917,9 @@ def cache_fill(state, role, cache, pieces, limit) -> None:
 
 
 def run_batch(lib, h, addrs, specs, positions, lats, collect: bool) -> None:
-    """Replay one access batch through the C kernel, in place of the Python
-    loop of ``access_batch`` (``collect=True``) / ``warm_batch`` (False).
+    """Replay one access batch through the C kernel, in place of the
+    per-access loop of ``access_batch`` (``collect=True``) / ``warm_batch``
+    (False).
 
     On the first batch of a hierarchy the OrderedDict cache sets, TLBs and
     prefetcher streams are flattened into persistent int64 arenas
@@ -1068,11 +989,9 @@ def run_batch(lib, h, addrs, specs, positions, lats, collect: bool) -> None:
     h.lock_tlb.misses += ctr[19]
     h.l1d_prefetcher.prefetches_issued += ctr[20]
     h.l2_prefetcher.prefetches_issued += ctr[21]
-    # Per-core attribution of the shared-level traffic, mirroring the Python
-    # loops exactly: L2/L3 demand counts accumulate during warm-up too (the
-    # Python warm loop routes through _access_beyond_l1), while the lock
-    # counters are collect-gated in the kernel and therefore zero here when
-    # warming — same unconditional fold either way.
+    # Per-core attribution of the shared-level traffic.  The lock counters
+    # are collect-gated in the kernel and therefore zero here when warming;
+    # the L2/L3 ones are not, but warm_batch resets them right after.
     shared = h.stats.shared
     shared["l2_hits"] += ctr[4]
     shared["l2_misses"] += ctr[5]
@@ -1094,7 +1013,7 @@ def run_batch(lib, h, addrs, specs, positions, lats, collect: bool) -> None:
 
 
 def _self_test_hier(lib) -> bool:
-    """The hierarchy kernel must match the Python batch loops exactly."""
+    """The hierarchy kernel must match a sequence of ``access()`` calls."""
     import random
 
     from repro.memory.cache import CacheConfig
@@ -1140,6 +1059,8 @@ def _self_test_hier(lib) -> bool:
             addrs.append(base + 64 * (120 - i))
             specs.append(8)
             positions.append(len(positions))
+        # With native_override off, the batch methods are plain loops over
+        # MemoryHierarchy.access — the reference the kernel must reproduce.
         ref = MemoryHierarchy(config)
         ref.native_override = False
         ker = MemoryHierarchy(config)
@@ -1149,14 +1070,24 @@ def _self_test_hier(lib) -> bool:
         ker._batch_native(lib, addrs, specs, positions, lats_ker, True)
         if list(lats_ker) != lats_ref or not _same_hierarchy(ref, ker):
             return False
-        for warm_specs in (specs, 0):  # per-access and scalar-spec warm-up
-            ref_w = MemoryHierarchy(config)
-            ref_w.native_override = False
-            ker_w = MemoryHierarchy(config)
-            ref_w.warm_batch(addrs, warm_specs)
-            ker_w._batch_native(lib, addrs, warm_specs, None, None, False)
-            if not _same_hierarchy(ref_w, ker_w):
-                return False
+        # Warm-up (collect=0) must leave the same state with zero counters.
+        # The Python warm-up is the access loop above plus reset_stats(), so
+        # the per-access-spec case reuses that reference; the scalar-spec
+        # case (stride 0) needs only a short run of its own.
+        ker_w = MemoryHierarchy(config)
+        ker_w._batch_native(lib, addrs, specs, None, None, False)
+        ker_w.reset_stats()
+        ref.reset_stats()
+        if not _same_hierarchy(ref, ker_w):
+            return False
+        ref_w = MemoryHierarchy(config)
+        ref_w.native_override = False
+        ker_w = MemoryHierarchy(config)
+        ref_w.warm_batch(addrs[:300], 0)
+        ker_w._batch_native(lib, addrs[:300], 0, None, None, False)
+        ker_w.reset_stats()
+        if not _same_hierarchy(ref_w, ker_w):
+            return False
         # warm_fill must match the Python working-set install
         # (sim.compiled._install_tail) including tail-limit semantics.
         from repro.sim.compiled import _install_tail
@@ -1204,7 +1135,7 @@ def _same_hierarchy(a, b) -> bool:
 
 
 def _self_test_sched(lib) -> bool:
-    """The scheduler kernel must match the Python array scheduler exactly."""
+    """The scheduler kernel must match ``_schedule_python`` exactly."""
     import random
     from types import SimpleNamespace
 
@@ -1241,8 +1172,9 @@ def _self_test_sched(lib) -> bool:
                      rng.randrange(-1, 32) if ms0 >= 0 else -1))
         lat_template.append(rng.choice((1, 1, 3, 3, 13, 23, 258)))
     stream = SimpleNamespace(
-        uops=uops, lat_template=lat_template, mem_pos=[], mem_addr=[],
-        mem_spec=[], total_uops=sum(u[1] for u in uops), injected_uops=0,
+        words=pack_entry_words(uops), lat_template=array("q", lat_template),
+        mem_pos=array("q"), mem_addr=array("q"), mem_spec=array("q"),
+        total_uops=sum(u[1] for u in uops), injected_uops=0,
         macro_instructions=len(uops), memory_accesses=0)
     for config in (WatchdogConfig.isa_assisted_uaf(),
                    WatchdogConfig.no_lock_cache()):
@@ -1251,7 +1183,7 @@ def _self_test_sched(lib) -> bool:
         ker_core = OutOfOrderCore(machine=machine, watchdog=config)
         ref_result = ref_core.simulate_compiled(stream)
         ker_result = ker_core._simulate_compiled_native(stream, lib)
-        if ker_result is None or ker_result != ref_result:
+        if ker_result != ref_result:
             return False
         for rp, kp in zip(ref_core.units.all_pools().values(),
                           ker_core.units.all_pools().values()):
@@ -1261,46 +1193,14 @@ def _self_test_sched(lib) -> bool:
     return True
 
 
-def _self_test_pack(lib) -> bool:
-    """``pack_words`` must agree with the Python packer, overflow included."""
-    import random
-
-    rng = random.Random(977)
-    good = []
-    for _ in range(512):
-        good.append((rng.randrange(512), rng.randrange(64),
-                     rng.randrange(-1, 63), rng.randrange(-1, 63),
-                     rng.randrange(-1, 63), rng.randrange(-1, 63),
-                     rng.randrange(-1, 63), rng.randrange(-1, 63)))
-    # Field boundaries: every slot at its extremes in one row.
-    good.append((511, 63, 62, -1, 62, -1, 62, -1))
-    good.append((0, 0, -1, -1, -1, -1, -1, -1))
-    ref = pack_entry_words(good)
-    ker = _pack_rows_native(lib, good)
-    if ref is None or ker is None or ref != ker:
-        return False
-    overflowing = ((0, 64, 0, 0, 0, 0, 0, 0),     # cost too wide
-                   (512, 1, 0, 0, 0, 0, 0, 0),    # flags too wide
-                   (0, 1, 63, 0, 0, 0, 0, 0),     # slot too high
-                   (0, 1, 0, 0, 0, 0, 0, -2),     # slot below none
-                   (0, -1, 0, 0, 0, 0, 0, 0))     # negative cost
-    for bad in overflowing:
-        rows = good[:3] + [bad]
-        if pack_entry_words(rows) is not None \
-                or _pack_rows_native(lib, rows) is not None:
-            return False
-    return True
-
-
 def _self_test(lib):
-    """All kernels must reproduce the Python loops before being trusted.
+    """All kernels must reproduce the Python path before being trusted.
 
     Returns ``(ok, detail)`` — the failing stage's name lets the loader's
     refusal message say *which* kernel diverged.
     """
     for check, stage in ((_self_test_hier, "hier_batch/warm_fill"),
-                         (_self_test_sched, "sched_run"),
-                         (_self_test_pack, "pack_words")):
+                         (_self_test_sched, "sched_run")):
         if not check(lib):
             return False, stage
     return True, None

@@ -57,8 +57,12 @@ class MachineConfig:
     hierarchy: HierarchyConfig = field(default_factory=HierarchyConfig)
 
     def __post_init__(self) -> None:
-        if self.issue_width <= 0 or self.rob_entries <= 0:
-            raise ConfigurationError("issue width and ROB size must be positive")
+        # Both schedulers index the window queues and divide the front end
+        # into dispatch/commit groups; a zero-sized one has no meaning.
+        for name in ("issue_width", "dispatch_width", "commit_width",
+                     "rob_entries", "iq_entries", "lq_entries", "sq_entries"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be at least 1")
 
     #: Fixed execution latencies per µop kind (cache-access kinds get their
     #: latency from the memory hierarchy instead).

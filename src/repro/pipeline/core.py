@@ -280,7 +280,7 @@ class OutOfOrderCore:
 
         Bit-identical to :meth:`simulate` over the equivalent ``TimedUop``
         stream (the golden equivalence tests enforce this), but consuming
-        packed per-µop tuples instead of objects, in two passes:
+        the stream's packed µop words instead of objects, in two passes:
 
         1. the memory hierarchy replays the packed access sequence in one
            batch (access order equals program order, so cache state and load
@@ -291,16 +291,11 @@ class OutOfOrderCore:
 
         When the native timing core is available (and ``timecore`` is not
         ``False``), both passes run inside the C kernel instead, with
-        bit-identical results; any unpackable stream or unusual machine
-        shape falls back to the Python loop below.
+        bit-identical results.
         """
-        if self.timecore is not False:
-            from repro.native import _timecore
-            lib = _timecore.load()
-            if lib is not None:
-                result = self._simulate_compiled_native(stream, lib)
-                if result is not None:
-                    return result
+        lib = self._native_lib()
+        if lib is not None:
+            return self._simulate_compiled_native(stream, lib)
         lats = stream.lat_template[:]
         self.hierarchy.access_batch(stream.mem_addr, stream.mem_spec,
                                     stream.mem_pos, lats)
@@ -317,23 +312,28 @@ class OutOfOrderCore:
         only, so given equal latencies the result is bit-identical to the
         fused path — on the native and the Python scheduler alike.
         """
-        if self.timecore is not False:
-            from repro.native import _timecore
-            lib = _timecore.load()
-            machine = self.machine
-            if lib is not None and min(
-                    machine.rob_entries, machine.iq_entries,
-                    machine.lq_entries, machine.sq_entries,
-                    machine.dispatch_width, machine.commit_width) >= 1:
-                packed = _timecore.pack_stream(stream, lib)
-                if packed is not None:
-                    if not (isinstance(lats, array) and lats.typecode == "q"):
-                        lats = array("q", lats)
-                    return self._schedule_native(stream, packed[0], lats, lib)
+        lib = self._native_lib()
+        if lib is not None:
+            if not (isinstance(lats, array) and lats.typecode == "q"):
+                lats = array("q", lats)
+            return self._schedule_native(stream, lats, lib)
         return self._schedule_python(stream, lats)
 
+    def _native_lib(self):
+        """The loaded timing core, or ``None`` when disabled or unavailable."""
+        if self.timecore is False:
+            return None
+        from repro.native import _timecore
+        return _timecore.load()
+
     def _schedule_python(self, stream, lats) -> TimingResult:
-        """Pass 2 of :meth:`simulate_compiled`: the Python array scheduler."""
+        """Pass 2 of :meth:`simulate_compiled`: the Python array scheduler.
+
+        Decodes the stream's packed words per call (no memo: a stream that
+        is scheduled once pays once, and nothing extra stays pinned).
+        """
+        from repro.native._timecore import unpack_entry_words
+
         machine = self.machine
 
         # kind code -> port-pool index, honouring the Watchdog configuration
@@ -381,7 +381,7 @@ class OutOfOrderCore:
         commit_cycle = 0
 
         for (flags, cost, dest, s0, s1, md, ms0, ms1), latency in \
-                zip(stream.uops, lats):
+                zip(unpack_entry_words(stream.words), lats):
             # ---- dispatch: front-end width, window occupancy ----------------
             if dispatched >= dispatch_width:
                 dispatch_cycle += 1
@@ -518,39 +518,22 @@ class OutOfOrderCore:
             port_waits=port_waits,
         )
 
-    def _simulate_compiled_native(self, stream, lib) -> Optional[TimingResult]:
-        """Run both passes of :meth:`simulate_compiled` in the C kernel.
-
-        Returns ``None`` (leaving all state untouched) when the stream or
-        machine shape cannot be expressed in the kernel's packed format —
-        the caller then takes the Python loop.
-        """
-        from repro.native import _timecore
-
-        machine = self.machine
-        if min(machine.rob_entries, machine.iq_entries, machine.lq_entries,
-               machine.sq_entries, machine.dispatch_width,
-               machine.commit_width) < 1:
-            return None
-        packed = _timecore.pack_stream(stream, lib)
-        if packed is None:
-            return None
-        words, lat_template, mem_pos, mem_addr, mem_spec, _core = packed
-
-        # The packed view aliases the stream's own arenas; copy before the
+    def _simulate_compiled_native(self, stream, lib) -> TimingResult:
+        """Run both passes of :meth:`simulate_compiled` in the C kernel."""
+        # The latency prefill is the stream's own arena; copy before the
         # hierarchy writes load latencies into it.
-        lats = lat_template[:]
-        if len(mem_addr):
-            self.hierarchy._batch_native(lib, mem_addr, mem_spec, mem_pos,
-                                         lats, True)
-        return self._schedule_native(stream, words, lats, lib)
+        lats = stream.lat_template[:]
+        if len(stream.mem_addr):
+            self.hierarchy._batch_native(lib, stream.mem_addr, stream.mem_spec,
+                                         stream.mem_pos, lats, True)
+        return self._schedule_native(stream, lats, lib)
 
-    def _schedule_native(self, stream, words, lats, lib) -> TimingResult:
+    def _schedule_native(self, stream, lats, lib) -> TimingResult:
         """Pass 2 of :meth:`_simulate_compiled_native`: the C scheduler.
 
-        ``words`` is the packed µop array from ``pack_stream``; ``lats`` the
-        post-hierarchy int64 latency array.
+        ``lats`` is the post-hierarchy int64 latency array.
         """
+        words = stream.words
         machine = self.machine
         pools = list(self.units.all_pools().values())
         pool_index = {id(pool): i for i, pool in enumerate(pools)}

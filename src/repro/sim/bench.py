@@ -139,16 +139,11 @@ def run_matrix(benchmarks: Sequence[str], instructions: int, seed: int,
 
     The compile phase covers everything between trace tokens and the
     kernel-ready stream, *including* stream packing: the compiler emits the
-    kernel's flat wire format directly, and any residual tuple-only stream
-    is packed (or marked unpackable) here rather than lazily inside the
-    first ``simulate_compiled`` call — so ``phases_seconds`` bills packing
+    kernel's flat wire format directly, so ``phases_seconds`` bills packing
     to compile, not simulate.
     """
-    from repro.native import _timecore
-
     simulator = Simulator(machine=machine, pipeline=pipeline,
                           timecore=timecore)
-    lib = None if timecore is False else _timecore.load()
     phases = {"generate": 0.0, "compile": 0.0, "simulate": 0.0}
     total_uops = 0
     cells = 0
@@ -167,13 +162,10 @@ def run_matrix(benchmarks: Sequence[str], instructions: int, seed: int,
                 t0 = time.perf_counter()
                 if bundle.samples:
                     for index in range(len(bundle.samples)):
-                        built = bundle.compiled_sample_streams(
+                        bundle.compiled_sample_streams(
                             index, config, machine=simulator.machine)
-                        _timecore.pack_stream(built.measured, lib)
                 else:
-                    built = bundle.compiled_streams(
-                        config, machine=simulator.machine)
-                    _timecore.pack_stream(built.measured, lib)
+                    bundle.compiled_streams(config, machine=simulator.machine)
                 phases["compile"] += time.perf_counter() - t0
             t0 = time.perf_counter()
             outcome = simulator.run_bundle(bundle, config)

@@ -26,12 +26,11 @@ This module replaces that hot path with a three-step compilation:
    hierarchy replays in a single batch) — along with exact
    injection/pointer/page statistics reconstructed from per-template
    deltas.  Each template's µop words are packed once at build time, so
-   stream assembly is pure ``array.extend`` and the kernel consumes the
-   stream with zero further marshalling; per-µop tuples are rebuilt on
-   demand (:attr:`CompiledStream.uops`) only for the Python fallback
-   scheduler.  A template whose cost or register slots exceed the packed
-   field widths makes the whole stream tuple-only, exactly as the old
-   post-hoc packing did.
+   stream assembly is pure ``array.extend``; the native kernel and the
+   Python scheduler both consume the words as built.  A template whose
+   cost, flags or register slots exceed the packed field widths raises
+   :class:`CompiledTraceUnsupported`, and the simulator falls back to the
+   reference pipeline (real µops never come close to the widths).
 
 Two Watchdog configurations that inject identically (same ``enabled``,
 pointer-identification mode, bounds mode and copy-elimination setting) share
@@ -50,12 +49,12 @@ from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Union
 
-from repro.native._timecore import pack_entry_words, unpack_words
+from repro.native._timecore import pack_entry_words
 
 from repro.core.config import WatchdogConfig
 from repro.core.pointer_id import PointerIdStats
 from repro.core.uop_injection import InjectionStats, compile_template
-from repro.errors import ProgramError
+from repro.errors import CompiledTraceUnsupported
 from repro.isa.instructions import Instruction
 from repro.isa.microops import UopKind, WATCHDOG_KINDS
 from repro.isa.registers import RegClass, reg_slot
@@ -99,14 +98,6 @@ _M47 = 1 << 47
 SPEC_DATA_READ = PORT_DATA
 SPEC_LOCK_READ = PORT_LOCK
 SPEC_SHADOW_READ = PORT_SHADOW
-
-
-class CompiledTraceUnsupported(ProgramError):
-    """The trace contains a shape the compiled pipeline does not pack.
-
-    Raised for instructions with more than two register (or metadata)
-    sources; the simulator falls back to the reference object pipeline.
-    """
 
 
 def stream_class_key(config: WatchdogConfig) -> tuple:
@@ -214,14 +205,11 @@ class CompiledStream:
     The µop column is carried in the native kernel's wire format: one
     packed int64 word per µop (flags | cost << 9 | six 6-bit register-slot
     fields — the layout documented at ``sched_run`` in
-    :mod:`repro.native._timecore`).  ``words is None`` marks a *tuple-only*
-    stream — some template overflowed the packed field widths at compile
-    time — which the Python scheduler consumes via :attr:`uops` and the
-    native path refuses, exactly as the old post-hoc packing overflow did.
+    :mod:`repro.native._timecore`).
     """
 
-    #: Kernel-ready packed µop words, or ``None`` for a tuple-only stream.
-    words: Optional[array]
+    #: Kernel-ready packed µop words.
+    words: array
     #: Per-µop execution latency prefill (fixed latencies; load positions are
     #: overwritten from the hierarchy batch during simulation).  Callers
     #: copy before mutating — this is the stream's own arena.
@@ -243,45 +231,19 @@ class CompiledStream:
     #: multi-core mix relabels each member's stream with its core index).
     core: int = 0
 
-    @property
-    def uops(self) -> List[tuple]:
-        """Per-µop ``(flags, cost, dest, s0, s1, md, ms0, ms1)`` tuples.
-
-        Materialized on demand from :attr:`words` (memoized) — only the
-        Python fallback scheduler and the golden tests walk tuples; the
-        production path hands :attr:`words` to the kernel untouched.
-        """
-        tuples = self.__dict__.get("_uop_tuples")
-        if tuples is None:
-            tuples = self.__dict__["_uop_tuples"] = self.to_tuples()
-        return tuples
-
-    def to_tuples(self) -> List[tuple]:
-        """Unpack :attr:`words` into fresh per-µop tuples (no memo)."""
-        return unpack_words(self.words)
-
     def with_core(self, core: int) -> "CompiledStream":
         """This stream relabelled for ``core`` (itself when already there).
 
-        Keeps the flat columns (and any tuple/packing memo) shared with the
-        original — relabelling is what a multi-core mix does per member,
-        and must not forfeit the bundle-cached arenas.
+        The clone shares the flat columns with the original — relabelling is
+        what a multi-core mix does per member, and must not copy the
+        bundle-cached arenas.
         """
         if core == self.core:
             return self
-        clone = dataclasses.replace(self, core=core)
-        tuples = self.__dict__.get("_uop_tuples")
-        if tuples is not None:
-            clone.__dict__["_uop_tuples"] = tuples
-        # Only the *unpackable* marker transfers: a successful legacy pack
-        # memo embeds the original core id and must not be inherited.
-        if self.__dict__.get("_tc_packed") is False:
-            clone.__dict__["_tc_packed"] = False
-        return clone
+        return dataclasses.replace(self, core=core)
 
     def __len__(self) -> int:
-        words = self.words
-        return len(words) if words is not None else len(self.uops)
+        return len(self.words)
 
 
 @dataclass(eq=False)
@@ -329,15 +291,14 @@ class BundleStreams:
 class _Template:
     """Numeric expansion of one instruction identity under one class.
 
-    Carries both forms of the µop column: packed kernel words (``words`` /
-    ``mis_words``, ``None`` when any entry overflows the packed field
-    widths) and the per-µop tuples the Python fallback consumes.  Stream
-    assembly extends flat arrays from the words, so the packing cost is
-    paid once per identity, not once per dynamic instance.
+    The µop column is held as packed kernel words (``words``, plus
+    ``mis_words`` with the mispredict flag set on its branches, or ``None``
+    when the template has no branch).  Stream assembly extends flat arrays
+    from them, so the packing cost is paid once per identity, not once per
+    dynamic instance.
     """
 
-    __slots__ = ("uops", "mis_uops", "words", "mis_words", "lats", "n",
-                 "addr_ops", "size",
+    __slots__ = ("words", "mis_words", "lats", "n", "addr_ops", "size",
                  "stat_delta", "pointer_delta", "total_cost", "injected_cost")
 
 
@@ -463,19 +424,13 @@ class StreamCompiler:
                 if kind in HIERARCHY_LATENCY_KINDS:
                     spec |= SPEC_USE_LATENCY
                 addr_ops.append((off, addr_rule, spec))
-        t.uops = tuple(entries)
-        t.mis_uops = None
+        t.words = pack_entry_words(entries)
+        t.mis_words = None
         if has_branch:
-            t.mis_uops = tuple(
+            t.mis_words = pack_entry_words([
                 (entry[0] | FLAG_MISPREDICT,) + entry[1:]
                 if entry[0] & FLAG_BRANCH else entry
-                for entry in entries)
-        t.words = pack_entry_words(t.uops)
-        t.mis_words = None
-        if t.words is not None and t.mis_uops is not None:
-            t.mis_words = pack_entry_words(t.mis_uops)
-            if t.mis_words is None:  # keep both forms in lockstep
-                t.words = None
+                for entry in entries])
         t.lats = array("q", lats)
         t.n = len(entries)
         t.addr_ops = tuple(addr_ops)
@@ -501,15 +456,10 @@ class StreamCompiler:
         Emits the kernel's wire format directly: each template's µop words
         are packed once at build time, and the replay loop assembles the
         stream's columns with ``array("q").extend`` — C-speed memcpys — so
-        the resulting :class:`CompiledStream` needs no post-hoc
-        ``pack_stream`` pass.  If any template overflows the packed field
-        widths, the whole stream is assembled from tuples instead and
-        marked tuple-only (the Python scheduler has no width limits).
+        the resulting :class:`CompiledStream` needs no post-hoc packing.
         """
         counts = Counter(tokens.tids)
         templates = self._templates_for(tokens, counts)
-        used = [t for t in templates if t is not None]
-        flat = all(t.words is not None for t in used)
         # Indexed by tid; shapes absent from the stream keep a None slot.
         main: List = [None] * len(templates)
         mis: List = [None] * len(templates)
@@ -519,22 +469,18 @@ class StreamCompiler:
         n_by_tid: List = [None] * len(templates)
         for tid in counts:
             t = templates[tid]
-            if flat:
-                main[tid] = t.words
-                mis[tid] = t.words if t.mis_words is None else t.mis_words
-            else:
-                main[tid] = t.uops
-                mis[tid] = t.uops if t.mis_uops is None else t.mis_uops
+            main[tid] = t.words
+            mis[tid] = t.words if t.mis_words is None else t.mis_words
             lats_by_tid[tid] = t.lats
             ops_by_tid[tid] = t.addr_ops
             size_by_tid[tid] = t.size
             n_by_tid[tid] = t.n
-        stream_uops: object = array("q") if flat else []
+        words = array("q")
         lats = array("q")
         mem_pos = array("q")
         mem_addr = array("q")
         mem_spec = array("q")
-        extend_uops = stream_uops.extend
+        extend_words = words.extend
         extend_lats = lats.extend
         add_pos = mem_pos.append
         add_addr = mem_addr.append
@@ -551,7 +497,7 @@ class StreamCompiler:
 
         for tid, address, lock, mispredicted in zip(
                 tokens.tids, tokens.addrs, tokens.locks, tokens.mis):
-            extend_uops(mis[tid] if mispredicted else main[tid])
+            extend_words(mis[tid] if mispredicted else main[tid])
             extend_lats(lats_by_tid[tid])
             addr_ops = ops_by_tid[tid]
             if addr_ops:
@@ -609,8 +555,8 @@ class StreamCompiler:
             memory_ops += count * template.pointer_delta[0]
             pointer_ops += count * template.pointer_delta[1]
 
-        stream = CompiledStream(
-            words=stream_uops if flat else None,
+        return CompiledStream(
+            words=words,
             lat_template=lats,
             mem_pos=mem_pos,
             mem_addr=mem_addr,
@@ -624,13 +570,6 @@ class StreamCompiler:
             pages=pages,
             class_key=stream_class_key(self.config),
         )
-        if not flat:
-            # The assembled tuples ARE the fallback's input; pin them as the
-            # materialized form and pre-mark the stream unpackable so the
-            # native path never re-probes it.
-            stream.__dict__["_uop_tuples"] = stream_uops
-            stream.__dict__["_tc_packed"] = False
-        return stream
 
     # -- warm-up stream ------------------------------------------------------------
     def compile_warm(self, tokens: TraceTokens) -> WarmStream:
@@ -857,7 +796,7 @@ def warm_trace(hierarchy, warm: WarmStream, config: WatchdogConfig) -> None:
 
     Unlike the working-set pre-touch, the warm-up *trace* is part of the
     simulated methodology and replays through the full demand machinery
-    (misses, prefetchers, TLBs) — only its statistics are discarded.
+    (misses, prefetchers, TLBs) — only its statistics are discarded, which
+    :meth:`~repro.memory.hierarchy.MemoryHierarchy.warm_batch` does itself.
     """
     hierarchy.warm_batch(warm.addrs, warm.specs)
-    hierarchy.reset_stats()

@@ -21,11 +21,12 @@ A mix run has three phases:
    zero and the hierarchy state warm when measurement starts.
 2. **interleaved hierarchy replay** — the cores' packed demand-access
    sequences are replayed round-robin in :data:`EPOCH_ACCESSES`-sized
-   epochs.  Because both the Python and the native batch paths reset their
-   per-batch TLB memos at batch boundaries (and all other state is carried
-   in the hierarchy structures themselves), slicing one core's sequence
-   into epochs is bit-identical to replaying it as a single batch — which
-   is what pins the one-core golden invariant below.
+   epochs.  The Python path replays one :meth:`MemoryHierarchy.access` call
+   per element, and the native kernel's only per-batch memo (the last
+   translated TLB page, a pure shortcut) resets at batch boundaries; all
+   other state lives in the hierarchy structures themselves, so slicing
+   one core's sequence into epochs is bit-identical to replaying it as a
+   single batch — which is what pins the one-core golden invariant below.
 3. **per-core scheduling** — each core's array scheduler consumes its own
    stream with the load latencies its hierarchy produced.  Scheduling is
    per-core because the cores' pipelines are independent; only the memory
@@ -191,8 +192,8 @@ class MultiCoreSimulator:
         Access positions are absolute into each core's full latency array,
         so slicing needs no re-indexing; empty tails simply drop out of the
         rotation.  Each slice routes through ``access_batch`` and therefore
-        uses the native kernel (shared arenas) or the Python loops exactly
-        as a single-core batch would.  The streams' memory columns are
+        uses the native kernel (shared arenas) or the per-access Python path
+        exactly as a single-core batch would.  The streams' memory columns are
         int64 arrays already (slices of an ``array("q")`` are arrays), so
         no per-core copies are made.
         """

@@ -1,14 +1,14 @@
-"""Flat-array stream compilation: packed words, fallbacks, pooled arenas.
+"""Flat-array stream compilation: packed words, overflow, pooled arenas.
 
 The stream compiler emits kernel-ready ``array("q")`` columns directly
-(``CompiledStream.words``); the legacy per-µop tuple form is rebuilt on
-demand.  These tests pin down the contract:
+(``CompiledStream.words``), the one µop format both schedulers consume.
+These tests pin down the contract:
 
-* the flat words are *bit-identical* to packing the legacy tuples through
-  :func:`repro.native._timecore.pack_entry_words`, across every benchmark
-  profile and every Table 2 configuration;
-* a stream whose fields overflow the packed word format falls back to the
-  tuple-only form and the Python scheduler with unchanged results;
+* every benchmark profile compiles to packed words under every Table 2
+  configuration, and the words decode back to themselves;
+* a µop whose fields overflow the packed word format raises
+  :class:`~repro.errors.CompiledTraceUnsupported`, and the simulator then
+  runs the reference pipeline with unchanged results;
 * the native state-export arenas are pooled — a second hierarchy reuses the
   first one's (zeroed) arenas and produces bit-identical statistics.
 """
@@ -19,9 +19,10 @@ from array import array
 import pytest
 
 from repro.core.config import WatchdogConfig
+from repro.errors import CompiledTraceUnsupported
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.native import _timecore
-from repro.native._timecore import pack_entry_words, unpack_words
+from repro.native._timecore import pack_entry_words, unpack_entry_words
 from repro.sim.simulator import Simulator
 from repro.workloads.bundle import TraceBundle
 from repro.workloads.profiles import benchmark_names
@@ -46,25 +47,18 @@ needs_kernel = pytest.mark.skipif(KERNEL is None,
                                   reason="native timing core unavailable")
 
 
-class TestFlatEqualsLegacyPacking:
-    """compiler-emitted words == legacy tuple packing, every profile/config."""
+class TestFlatStreams:
+    """Every profile/config compiles to the one packed-word format."""
 
     @pytest.mark.parametrize("profile_name", benchmark_names())
-    def test_words_match_tuple_packing(self, profile_name):
+    def test_every_configuration_compiles(self, profile_name):
         bundle = TraceBundle.generate(profile_name, seed=SEED,
                                       instructions=INSTRUCTIONS)
         for label, config in CONFIGURATIONS.items():
             stream = bundle.compiled_streams(config).measured
-            assert stream.words is not None, \
-                f"{profile_name}/{label}: stream is not flat"
-            legacy = pack_entry_words(stream.uops)
-            assert legacy is not None, \
-                f"{profile_name}/{label}: tuples refuse to pack"
-            assert stream.words == legacy, \
-                f"{profile_name}/{label}: flat words diverge from tuple pack"
-            # The tuple view round-trips back to the same words.
-            assert unpack_words(stream.words) == stream.uops
-            assert len(stream) == len(stream.words)
+            assert len(stream) == len(stream.words) > 0
+            assert pack_entry_words(unpack_entry_words(stream.words)) \
+                == stream.words, f"{profile_name}/{label}: round trip"
 
     def test_columns_are_int64_arrays(self):
         bundle = TraceBundle.generate("mcf", seed=SEED,
@@ -93,7 +87,7 @@ class TestFlatEqualsLegacyPacking:
 
 
 class TestPackedWordFormat:
-    """The packers agree and reject out-of-range fields identically."""
+    """The packer round-trips in-range rows and refuses overflow."""
 
     IN_RANGE = [
         (511, 63, 62, -1, 62, -1, 62, -1),
@@ -110,68 +104,40 @@ class TestPackedWordFormat:
 
     def test_round_trip(self):
         words = pack_entry_words(self.IN_RANGE)
-        assert words is not None
-        assert unpack_words(words) == self.IN_RANGE
+        assert unpack_entry_words(words) == self.IN_RANGE
 
     def test_overflow_refused(self):
         for row in self.OVERFLOW:
-            assert pack_entry_words([row]) is None, row
-
-    @needs_kernel
-    def test_native_packer_matches_python(self):
-        import random
-        rng = random.Random(4441)
-        rows = [tuple([rng.randrange(512), rng.randrange(64)]
-                      + [rng.randrange(-1, 63) for _ in range(6)])
-                for _ in range(300)] + self.IN_RANGE
-        expected = pack_entry_words(rows)
-        native = _timecore._pack_rows_native(KERNEL, rows)
-        assert native is not None
-        assert native == expected
-        for row in self.OVERFLOW:
-            assert _timecore._pack_rows_native(KERNEL, [row]) is None, row
+            with pytest.raises(CompiledTraceUnsupported):
+                pack_entry_words(self.IN_RANGE + [row])
 
 
-class TestOverflowFallback:
-    """Packing overflow at compile time degrades to the tuple-only path."""
+def test_overflow_falls_back_to_reference(monkeypatch):
+    """A template that overflows the packed format runs on the reference
+    pipeline, with the result the compiled pipeline would have given."""
+    config = WatchdogConfig.isa_assisted_uaf()
+    bundle = TraceBundle.generate("mcf", seed=SEED, instructions=INSTRUCTIONS)
+    flat = Simulator(pipeline="compiled").run_bundle(bundle, config)
+    reference = Simulator(pipeline="reference").run_bundle(bundle, config)
 
-    def test_tuple_only_stream_matches_flat_result(self, monkeypatch):
-        config = WatchdogConfig.isa_assisted_uaf()
-        bundle = TraceBundle.generate("mcf", seed=SEED,
-                                      instructions=INSTRUCTIONS)
-        flat = Simulator(pipeline="compiled").run_bundle(bundle, config)
-        reference = Simulator(pipeline="reference").run_bundle(bundle, config)
+    # Widen every µop's cost past its 6-bit field before the real packer
+    # sees it.  A fresh template cache keeps the refused templates out of
+    # other tests (and other tests' templates out of this one).
+    import repro.sim.compiled as compiled_module
 
-        # Simulate a stream whose templates exceed the packed-field ranges:
-        # every pack attempt reports overflow, so the compiler must keep the
-        # tuple form and the scheduler must take the Python path.  A fresh
-        # template cache keeps the degraded templates out of other tests
-        # (and other tests' flat templates out of this one).
-        import repro.sim.compiled as compiled_module
-        monkeypatch.setattr(compiled_module, "_TEMPLATE_CACHE", {})
-        monkeypatch.setattr("repro.sim.compiled.pack_entry_words",
-                            lambda uops: None)
-        degraded_bundle = TraceBundle.generate("mcf", seed=SEED,
-                                               instructions=INSTRUCTIONS)
-        stream = degraded_bundle.compiled_streams(config).measured
-        assert stream.words is None
-        assert stream.__dict__["_tc_packed"] is False  # never repacked
-        assert _timecore.pack_stream(stream) is None
-        degraded = Simulator(pipeline="compiled").run_bundle(degraded_bundle,
-                                                             config)
-        assert degraded.timing == flat.timing == reference.timing
+    def overflowing(entries):
+        return pack_entry_words([(flags, 64, *rest)
+                                 for flags, _cost, *rest in entries])
 
-    def test_with_core_keeps_tuple_only_memo(self, monkeypatch):
-        import repro.sim.compiled as compiled_module
-        monkeypatch.setattr(compiled_module, "_TEMPLATE_CACHE", {})
-        monkeypatch.setattr("repro.sim.compiled.pack_entry_words",
-                            lambda uops: None)
-        bundle = TraceBundle.generate("gzip", seed=SEED, instructions=200)
-        stream = bundle.compiled_streams(WatchdogConfig.disabled()).measured
-        moved = stream.with_core(2)
-        assert moved.words is None
-        assert moved.uops == stream.uops
-        assert moved.__dict__["_tc_packed"] is False
+    monkeypatch.setattr(compiled_module, "_TEMPLATE_CACHE", {})
+    monkeypatch.setattr(compiled_module, "pack_entry_words", overflowing)
+    degraded_bundle = TraceBundle.generate("mcf", seed=SEED,
+                                           instructions=INSTRUCTIONS)
+    with pytest.raises(CompiledTraceUnsupported):
+        degraded_bundle.compiled_streams(config)
+    degraded = Simulator(pipeline="compiled").run_bundle(degraded_bundle,
+                                                         config)
+    assert degraded.timing == flat.timing == reference.timing
 
 
 @needs_kernel

@@ -39,9 +39,29 @@ class TestMachineConfig:
         assert "168-entry ROB" in text
         assert "Lock Location" in text
 
-    def test_invalid_config_rejected(self):
-        with pytest.raises(ConfigurationError):
-            MachineConfig(issue_width=0)
+    @pytest.mark.parametrize("field", [
+        "issue_width", "dispatch_width", "commit_width", "rob_entries",
+        "iq_entries", "lq_entries", "sq_entries"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_invalid_config_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            MachineConfig(**{field: value})
+
+    def test_single_entry_windows_run_on_both_pipelines(self):
+        from repro.sim.simulator import Simulator
+        from repro.workloads.bundle import TraceBundle
+
+        machine = MachineConfig(dispatch_width=1, commit_width=1,
+                                rob_entries=1, iq_entries=1, lq_entries=1,
+                                sq_entries=1)
+        bundle = TraceBundle.generate("gzip", seed=3, instructions=300)
+        config = WatchdogConfig.isa_assisted_uaf()
+        compiled = Simulator(machine=machine,
+                             pipeline="compiled").run_bundle(bundle, config)
+        reference = Simulator(machine=machine,
+                              pipeline="reference").run_bundle(bundle, config)
+        assert compiled.timing == reference.timing
+        assert compiled.timing.cycles >= compiled.timing.total_uops
 
 
 class TestPortPool:

@@ -442,6 +442,17 @@ class TestFootprintAudit:
         bundle.compiled_streams(ISA)
         assert bundle.footprint_ops() > 4 * ops + snapshot
 
+    def test_python_scheduler_pins_nothing_extra(self):
+        bundle = TraceBundle.generate("mcf", seed=7, instructions=3_000)
+        streams = bundle.compiled_streams(ISA)
+        before = bundle.footprint_ops()
+        measured = streams.measured
+        assert before >= 2 * len(measured) + 3 * len(measured.mem_pos)
+        Simulator(pipeline="compiled", timecore=False).run_bundle(bundle, ISA)
+        assert bundle.footprint_ops() == before
+        assert set(vars(measured)) == {
+            field.name for field in dataclasses.fields(measured)}
+
     def test_compiled_bundles_evict_lru_first_under_budget(self, monkeypatch):
         from collections import OrderedDict
 
@@ -466,33 +477,6 @@ class TestFootprintAudit:
         assert third.footprint_ops() < second.footprint_ops()
         assert [key[0] for key in engine_mod._BUNDLES] == ["gzip", "lbm"]
         assert bundle_for("gzip") is first
-
-    def test_materialized_tuples_are_budgeted(self):
-        bundle = TraceBundle.generate("mcf", seed=7, instructions=3_000)
-        streams = bundle.compiled_streams(ISA)
-        before = bundle.footprint_ops()
-        # Force the Python-fallback tuple materialization the footprint
-        # previously missed.
-        tuples = streams.measured.uops
-        assert bundle.footprint_ops() == before + 8 * len(tuples)
-
-    def test_tuple_only_stream_is_budgeted(self):
-        import dataclasses as dc
-
-        bundle = TraceBundle.generate("mcf", seed=7, instructions=3_000)
-        streams = bundle.compiled_streams(ISA)
-        cache = bundle.__dict__["_cc_streams"]
-        (key, built), = list(cache.items())
-        base = bundle.footprint_ops()  # flat stream, no tuples pinned yet
-        # Rebuild the cached stream as tuple-only (words=None, tuples
-        # pinned), as a packed-width overflow at compile time would have
-        # produced it.  ``len(stream)`` falls back to the tuple list, so the
-        # per-µop column charge is unchanged; the pinned tuples add 8/µop.
-        tuples = tuple(built.measured.uops)
-        tuple_only = dc.replace(built.measured, words=None)
-        tuple_only.__dict__["_uop_tuples"] = tuples
-        cache[key] = dc.replace(built, measured=tuple_only)
-        assert bundle.footprint_ops() == base + 8 * len(tuples)
 
 
 class TestOneBPlumbing:

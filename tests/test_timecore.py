@@ -148,9 +148,11 @@ class TestGoldenEquality:
                 f"{profile_name}/{label}: sampled statistics diverged"
 
     def test_hierarchy_batch_state_and_stats_match(self):
-        """Direct batch-level check including full LRU state and stats."""
+        """The kernel's batch equals one ``access()`` call per element,
+        including full LRU state and statistics."""
         import random
 
+        from repro.memory.hierarchy import _SPEC_PORTS
         from repro.pipeline.core import OutOfOrderCore
 
         rng = random.Random(99)
@@ -161,12 +163,42 @@ class TestGoldenEquality:
             positions.append(len(positions))
         config = CONFIGURATIONS["isa-assisted"]
         kernel_h = OutOfOrderCore(watchdog=config, timecore=True).hierarchy
+        kernel_h.warm_batch(addrs[:500], 0)
+        kernel_lats = [0] * len(addrs)
+        kernel_h.access_batch(addrs, specs, positions, kernel_lats)
+
         python_h = OutOfOrderCore(watchdog=config, timecore=False).hierarchy
-        for hierarchy in (kernel_h, python_h):
-            hierarchy.warm_batch(addrs[:500], 0)
-            lats = [0] * len(addrs)
-            hierarchy.access_batch(addrs, specs, positions, lats)
+        for address in addrs[:500]:
+            python_h.access(address)
+        python_h.reset_stats()
+        python_lats = [python_h.access(address, bool(spec & 4),
+                                       _SPEC_PORTS[spec & 3])
+                       for address, spec in zip(addrs, specs)]
+
+        assert kernel_lats == python_lats
         assert kernel_h.stats == python_h.stats
         assert kernel_h.stats.accesses == python_h.stats.accesses
         assert kernel_h.stats.total_latency == python_h.stats.total_latency
+        assert _timecore._same_hierarchy(kernel_h, python_h)
+
+    def test_warm_batch_leaves_state_and_zero_statistics(self):
+        """Both warm-up paths reset every counter and agree on state."""
+        import random
+
+        from repro.pipeline.core import OutOfOrderCore
+
+        rng = random.Random(7)
+        addrs = [rng.randrange(1 << 22) for _ in range(2_000)]
+        specs = [rng.randrange(3) | rng.randrange(2) << 2 for _ in addrs]
+        config = CONFIGURATIONS["isa-assisted"]
+        hierarchies = []
+        for timecore in (True, False):
+            hierarchy = OutOfOrderCore(watchdog=config,
+                                       timecore=timecore).hierarchy
+            hierarchy.warm_batch(addrs, specs)
+            hierarchies.append(hierarchy)
+        kernel_h, python_h = hierarchies
+        assert python_h.stats.accesses == {}
+        assert (python_h.l1d.hits, python_h.l2.misses,
+                python_h.dtlb.misses) == (0, 0, 0)
         assert _timecore._same_hierarchy(kernel_h, python_h)
